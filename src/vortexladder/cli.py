@@ -279,6 +279,7 @@ def cmd_sweep(conf: Conf, args) -> str:
         for row in result.rows
         if abs(row.energy - e_min) <= 1e-12 * max(1.0, abs(e_min))
     ]
+    ties = set(tie_ids)
     cases = _symmetric_cases(ladder, couplings)
     names = list(ladder.cycle_names)
 
@@ -304,7 +305,7 @@ def cmd_sweep(conf: Conf, args) -> str:
             str(row.sector.sector_id),
             *(str(row.sector.values[n]) for n in names),
             _g17(row.energy),
-            "1" if row.sector.sector_id in tie_ids else "0",
+            "1" if row.sector.sector_id in ties else "0",
         ]
         for row in result.rows
     ]
@@ -338,9 +339,12 @@ def cmd_gap_scan(conf: Conf, args) -> str:
     sub = conf.child("ladder")
     boundary = sub.choice("boundary", [b.value for b in Boundary], Boundary.OPEN.value)
     span = conf.number_list("cells_range")
-    if len(span) != 2 or any(v != int(v) for v in span) or span[0] > span[1]:
-        raise ConfigError("config.cells_range: expected [first, last] integers")
-    cells = list(range(int(span[0]), int(span[1]) + 1, conf.get("cells_step", int, 1)))
+    if len(span) != 2 or any(v != int(v) for v in span) or not 2 <= span[0] <= span[1]:
+        raise ConfigError("config.cells_range: expected [first, last] integers, 2 <= first <= last")
+    step = conf.get("cells_step", int, 1)
+    if step < 1:
+        raise ConfigError("config.cells_step: must be >= 1")
+    cells = list(range(int(span[0]), int(span[1]) + 1, step))
     if not cells:
         raise ConfigError("config.cells_range: empty range")
     if cells[-1] > freefermion.MAX_SCAN_CELLS:
@@ -356,11 +360,17 @@ def cmd_gap_scan(conf: Conf, args) -> str:
     for n in cells:
         ladder = build_ladder(n, boundary)
         couplings = _config_couplings(conf, ladder)
+        parsed = []
         for pattern in patterns:
             try:
-                report = freefermion.big_loop_gap(ladder, couplings, pattern)
+                parsed.append(freefermion.parse_pattern(ladder, pattern))
             except ValueError as e:
                 raise ConfigError(f"config.patterns: {pattern!r} at N={n}: {e}") from e
+        try:
+            reports = freefermion.big_loop_gap(ladder, couplings, parsed)
+        except ValueError as e:
+            raise ConfigError(f"config.couplings: at N={n}: {e}") from e
+        for pattern, report in zip(patterns, reports):
             table.append((n, pattern, report.gap))
             by_pattern[pattern].append(report.gap)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -89,8 +89,9 @@ def assemble_skew(ladder: Ladder, couplings: CouplingConfig, g: GaugeConfig) -> 
     return SkewAdjacency(a)
 
 
-def mode_spectrum(skew: SkewAdjacency, pair_tol: float = PAIR_TOL) -> ModeSpectrum:
-    a = np.asarray(skew.matrix, dtype=float)
+def _check_skew(a: np.ndarray) -> float:
+    """Entry scale max(1, max |a_ij|) of a square, even-dimensional,
+    antisymmetric matrix; MalformedMatrixError for any other."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MalformedMatrixError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
@@ -98,15 +99,25 @@ def mode_spectrum(skew: SkewAdjacency, pair_tol: float = PAIR_TOL) -> ModeSpectr
         raise MalformedMatrixError("matrix is not antisymmetric within 1e-12")
     if a.shape[0] % 2:
         raise MalformedMatrixError("odd dimension cannot pair Majorana modes")
-    s = np.linalg.svd(a, compute_uv=False)  # descending
-    eps = s[0::2]
-    mates = s[1::2]
-    if np.any(np.abs(eps - mates) > pair_tol * np.maximum(eps, 1.0)):
+    return scale
+
+
+def _mode_energies(stack: np.ndarray, scale: float) -> np.ndarray:
+    """One-particle energies of each checked skew matrix in an (..., n, n)
+    stack whose entries all have scale ``scale``: every other singular value,
+    descending.  The two values of each pair must agree within PAIR_TOL *
+    max(eps, 1) and within 1e-10 * scale."""
+    s = np.linalg.svd(stack, compute_uv=False)  # descending
+    eps = s[..., 0::2]
+    mismatch = np.abs(eps - s[..., 1::2])
+    if np.any(mismatch > PAIR_TOL * np.maximum(eps, 1.0)) or np.any(mismatch > 1e-10 * scale):
         raise MalformedMatrixError("singular values do not pair within tolerance")
-    dup = np.sort(np.repeat(eps, 2))[::-1]
-    if np.any(np.abs(dup - s) > 1e-10 * scale):
-        raise MalformedMatrixError("pair reconstruction check failed")
-    return ModeSpectrum(eps)
+    return eps
+
+
+def mode_spectrum(skew: SkewAdjacency) -> ModeSpectrum:
+    a = np.asarray(skew.matrix, dtype=float)
+    return ModeSpectrum(_mode_energies(a, _check_skew(a)))
 
 
 def ground_energy(modes: ModeSpectrum) -> float:
@@ -156,27 +167,42 @@ class SweepResult:
         raise KeyError(sid)
 
 
-def _cotree_solver(ladder: Ladder):
-    """Precompute sid -> co-tree flip bitmask for gauge representatives."""
-    tree, cotree = gauge_mod.spanning_cotree(ladder)
-    rows = gauge_mod.cycle_cotree_matrix(ladder, cotree)
-    n = len(rows)
-    unit_cols = [gauge_mod._solve_gf2(rows, [1 if r == k else 0 for r in range(n)]) for k in range(n)]
-    base = GaugeConfig.all_plus(ladder)
-    x0 = 0
-    for r, loop in enumerate(ladder.cycles.values()):
-        if gauge_mod.vortex_value(base, loop) == -1:
-            x0 ^= unit_cols[r]
-    return cotree, unit_cols, x0
+def _map_sectors(
+    ladder: Ladder,
+    couplings: CouplingConfig,
+    guard: int,
+    reduce: Callable[[np.ndarray], object],
+    threads: int | None = None,
+    chunk: int = 4096,
+) -> list:
+    """``reduce`` of the (len, 2N) mode energies of each chunk of sector ids,
+    in ascending id order.  A sector's matrix is the all-(+1) one with the
+    co-tree bonds of its ``gauge_for_sector`` gauge negated at (i, j) and
+    (j, i), so the structure check on the all-(+1) matrix holds for all."""
+    couplings.validate_for(ladder)
+    n = len(ladder.cycle_names)
+    if n > guard:
+        raise GuardExceededError(f"2^{n} sectors exceeds the sweep guard ({guard})")
+    cotree, (x0, *units) = gauge_mod.cotree_flips(ladder, [0, *(1 << b for b in range(n))])
+    toggles = np.array([x ^ x0 for x in units], dtype=np.int64)  # flips toggled by sid bit b
+    a0 = assemble_skew(ladder, couplings, GaugeConfig.all_plus(ladder)).matrix
+    scale = _check_skew(a0)
 
+    def run_chunk(lo: int):
+        sids = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.int64)
+        xs = np.bitwise_xor.reduce(((sids[:, None] >> np.arange(n)) & 1) * toggles, axis=1) ^ x0
+        stack = np.broadcast_to(a0, (len(sids),) + a0.shape).copy()
+        for c, (i, j) in enumerate(cotree):
+            hit = ((xs >> c) & 1) == 1
+            stack[hit, i - 1, j - 1] *= -1.0
+            stack[hit, j - 1, i - 1] *= -1.0
+        return reduce(_mode_energies(stack, scale))
 
-def _sector_flip_masks(sids: np.ndarray, unit_cols: Sequence[int], x0: int) -> np.ndarray:
-    """Vectorized GF(2) solve: bitmask of co-tree bonds to flip per sector id."""
-    n = len(unit_cols)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)  # first cycle = MSB
-    bits = (sids[:, None] >> shifts[None, :]) & 1
-    cols = np.asarray(unit_cols, dtype=np.int64)
-    return np.bitwise_xor.reduce(np.where(bits == 1, cols, 0), axis=1) ^ x0
+    starts = range(0, 1 << n, chunk)
+    if threads is not None and threads > 1 and len(starts) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run_chunk, starts))
+    return [run_chunk(lo) for lo in starts]
 
 
 def sector_sweep(
@@ -187,37 +213,9 @@ def sector_sweep(
     chunk: int = 4096,
 ) -> SweepResult:
     """Ground energy of every vortex sector, sorted by (energy, sector id)."""
-    couplings.validate_for(ladder)
-    n = len(ladder.cycle_names)
-    if n > guard:
-        raise GuardExceededError(f"2^{n} sectors exceeds the sweep guard ({guard})")
-    cotree, unit_cols, x0 = _cotree_solver(ladder)
-    a0 = assemble_skew(ladder, couplings, GaugeConfig.all_plus(ladder)).matrix
-    flip_idx = [(i - 1, j - 1) for (i, j) in cotree]
-    total = 1 << n
-    all_sids = np.arange(total, dtype=np.int64)
-    chunks = [all_sids[lo : lo + chunk] for lo in range(0, total, chunk)]
-
-    def run_chunk(sids: np.ndarray) -> np.ndarray:
-        xs = _sector_flip_masks(sids, unit_cols, x0)
-        stack = np.broadcast_to(a0, (len(sids),) + a0.shape).copy()
-        for c, (r, s) in enumerate(flip_idx):
-            hit = ((xs >> c) & 1) == 1
-            stack[hit, r, s] *= -1.0
-            stack[hit, s, r] *= -1.0
-        svals = np.linalg.svd(stack, compute_uv=False)
-        eps = svals[:, 0::2]
-        if np.abs(eps - svals[:, 1::2]).max(initial=0.0) > PAIR_TOL * max(1.0, svals.max(initial=0.0)):
-            raise MalformedMatrixError("singular values do not pair within tolerance")
-        return -eps.sum(axis=1)
-
-    if threads is not None and threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            energies = np.concatenate(list(pool.map(run_chunk, chunks)))
-    else:
-        energies = np.concatenate([run_chunk(c) for c in chunks])
-
-    order = np.lexsort((all_sids, energies))
+    energies = np.concatenate(
+        _map_sectors(ladder, couplings, guard, lambda eps: -eps.sum(axis=1), threads, chunk))
+    order = np.lexsort((np.arange(len(energies)), energies))
     rows = tuple(
         SweepRow(gauge_mod.sector_from_id(ladder, int(sid)), float(energies[sid]))
         for sid in order
@@ -232,14 +230,14 @@ def sector_union_spectrum(
     expansion_guard: int = MAX_EXPANSION_MODES,
 ) -> np.ndarray:
     """Sorted concatenation of every sector's many-body levels."""
-    parts = [
-        many_body_spectrum(
-            mode_spectrum(assemble_skew(ladder, couplings, gauge_mod.gauge_for_sector(ladder, sec))),
-            guard=expansion_guard,
-        )
-        for sec in gauge_mod.enumerate_sectors(ladder, guard=guard)
-    ]
-    out = np.concatenate(parts)
+    modes = ladder.n_sites // 2
+    if modes > expansion_guard:
+        raise GuardExceededError(f"2^{modes} level expansion exceeds guard ({expansion_guard})")
+    parts = _map_sectors(
+        ladder, couplings, guard,
+        lambda eps: [many_body_spectrum(ModeSpectrum(e), guard=expansion_guard) for e in eps],
+    )
+    out = np.concatenate([levels for part in parts for levels in part])
     out.sort()
     return out
 
@@ -395,45 +393,37 @@ def twisted_wrap_gap(skew: SkewAdjacency, modes: ModeSpectrum) -> float:
 
 
 def big_loop_gap(
-    ladder: Ladder, couplings: CouplingConfig, pattern: Mapping[str, int] | VortexSector | str
-) -> GapReport:
-    """Excitation energy of a vortex pattern over the all-(+1) sector.
+    ladder: Ladder,
+    couplings: CouplingConfig,
+    patterns: Sequence[Mapping[str, int] | VortexSector | str],
+) -> list[GapReport]:
+    """Excitation energy of each vortex pattern over the all-(+1) sector,
+    which is solved once for all of them.
 
-    The gap is the difference of the two sectors' ground energies, except
-    for the big loop alone on a closed ladder: there ``twisted_wrap_gap`` is
-    evaluated first on the vortex-free gauge, and if it lies below the
+    A gap is the difference of the two sectors' ground energies, except for
+    the big loop alone on a closed ladder: there ``twisted_wrap_gap`` is
+    evaluated on the vortex-free gauge, and if it lies below the
     difference's noise floor ``|energy_free| * eps * 4N`` it is the gap and
     the big-loop sector is not solved (see ``GapReport``).
     """
-    if isinstance(pattern, str):
-        pattern = parse_pattern(ladder, pattern)
-    if isinstance(pattern, VortexSector):
-        sec = pattern
-    else:
-        sec = pattern_sector(ladder, pattern)
-    free = pattern_sector(ladder, {})
-    big_only = ladder.boundary is Boundary.CLOSED and all(
-        v == (-1 if name == "big" else 1) for name, v in sec.values.items()
-    )
-    if big_only:
-        energy_free, gap = _free_energy_and_wrap_gap(ladder, couplings, free)
-        if abs(gap) <= abs(energy_free) * np.finfo(float).eps * ladder.n_sites:
-            return GapReport(sec, energy_free + gap, energy_free, gap)
-    else:
-        energy_free = sector_ground_energy(ladder, couplings, free)
-    energy_pattern = sector_ground_energy(ladder, couplings, sec)
-    return GapReport(sec, energy_pattern, energy_free, energy_pattern - energy_free)
-
-
-def _free_energy_and_wrap_gap(
-    ladder: Ladder, couplings: CouplingConfig, free: VortexSector
-) -> tuple[float, float]:
-    """Ground energy of the vortex-free sector and ``twisted_wrap_gap`` on its
-    gauge; the gap is inf when a zero mode leaves the integral without a scale.
-
-    The 4N x 4N matrix is released on return, before any further solve.
-    """
-    skew = assemble_skew(ladder, couplings, gauge_mod.gauge_for_sector(ladder, free))
+    free_gauge = gauge_mod.gauge_for_sector(ladder, pattern_sector(ladder, {}))
+    skew = assemble_skew(ladder, couplings, free_gauge)
     modes = mode_spectrum(skew)
-    gap = twisted_wrap_gap(skew, modes) if modes.eps[-1] > 0.0 else np.inf
-    return ground_energy(modes), gap
+    energy_free = ground_energy(modes)
+    wrap_gap = None
+    reports = []
+    for sec in patterns:
+        if isinstance(sec, str):
+            sec = parse_pattern(ladder, sec)
+        if not isinstance(sec, VortexSector):
+            sec = pattern_sector(ladder, sec)
+        flipped = {name for name, v in sec.values.items() if v == -1}
+        if ladder.boundary is Boundary.CLOSED and flipped == {"big"}:
+            if wrap_gap is None:  # inf when a zero mode leaves the integral without a scale
+                wrap_gap = twisted_wrap_gap(skew, modes) if modes.eps[-1] > 0.0 else np.inf
+            if abs(wrap_gap) <= abs(energy_free) * np.finfo(float).eps * ladder.n_sites:
+                reports.append(GapReport(sec, energy_free + wrap_gap, energy_free, wrap_gap))
+                continue
+        energy_pattern = sector_ground_energy(ladder, couplings, sec)
+        reports.append(GapReport(sec, energy_pattern, energy_free, energy_pattern - energy_free))
+    return reports

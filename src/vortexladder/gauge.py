@@ -19,7 +19,7 @@ order is plain counter order with +1 before -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     GuardExceededError,
@@ -191,51 +191,50 @@ def cycle_cotree_matrix(ladder: Ladder, cotree: list[tuple[int, int]]) -> list[i
     return rows
 
 
-def _solve_gf2(rows: list[int], rhs: list[int]) -> int:
-    """Solve the square GF(2) system rows . x = rhs; returns x as a bitmask."""
+def _solve_gf2(rows: list[int], rhs: Sequence[int]) -> list[int]:
+    """Solve rows . x = b over GF(2) for every b in ``rhs`` (bit r = row r's
+    value) by one Gauss-Jordan elimination; row r carries b_k's bit r at bit
+    n+k.  Each x comes back as a bitmask."""
     n = len(rows)
-    aug = [rows[r] | (rhs[r] & 1) << n for r in range(n)]
-    pivot_row_of_col: dict[int, int] = {}
-    for r in range(n):
-        row = aug[r]
-        for c in sorted(pivot_row_of_col):
-            if (row >> c) & 1:
-                row ^= aug[pivot_row_of_col[c]]
-        lead = next((c for c in range(n) if (row >> c) & 1), None)
-        if lead is None:
+    aug = [
+        row | sum(((b >> r) & 1) << (n + k) for k, b in enumerate(rhs))
+        for r, row in enumerate(rows)
+    ]
+    for c in range(n):
+        bit = 1 << c
+        p = next((r for r in range(c, n) if aug[r] & bit), None)
+        if p is None:
             raise InconsistentSectorError("cycle basis is linearly dependent")
-        aug[r] = row
-        pivot_row_of_col[lead] = r
-    x = 0
-    # back substitution over the (now triangular-ish) pivots
-    for c in sorted(pivot_row_of_col, reverse=True):
-        r = pivot_row_of_col[c]
-        acc = (aug[r] >> n) & 1
-        row = aug[r] & ~(1 << c)
-        for cc in range(n):
-            if (row >> cc) & 1:
-                acc ^= (x >> cc) & 1
-        if acc:
-            x |= 1 << c
-    return x
+        aug[c], aug[p] = aug[p], aug[c]
+        for r in range(n):
+            if r != c and aug[r] & bit:
+                aug[r] ^= aug[c]
+    return [sum(((aug[c] >> (n + k)) & 1) << c for c in range(n)) for k in range(len(rhs))]
+
+
+def cotree_flips(ladder: Ladder, sids: Sequence[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Co-tree bonds and, per sector id, which of them carry u = -1 in the
+    sector's representative gauge (bit c for ``cotree[c]``); every other bond,
+    the spanning tree included, carries u = +1.
+
+    The flips x solve C x = sid ^ sid0 over GF(2), where row b of C marks the
+    co-tree bonds on the loop of sector-id bit b and sid0 is the sector of
+    the all-(+1) gauge; one elimination solves for every id.
+    """
+    _, cotree = spanning_cotree(ladder)
+    rows = cycle_cotree_matrix(ladder, cotree)[::-1]  # first cycle = MSB
+    sid0 = sector_of(ladder, GaugeConfig.all_plus(ladder)).sector_id
+    return cotree, _solve_gf2(rows, [sid ^ sid0 for sid in sids])
 
 
 def gauge_for_sector(ladder: Ladder, sector: VortexSector | Mapping[str, int]) -> GaugeConfig:
     """Deterministic representative gauge: u = +1 on a fixed spanning tree,
     co-tree signs solved over GF(2) so every basis loop hits its target."""
     values = sector.values if isinstance(sector, VortexSector) else sector
-    sector_id(ladder, values)  # validates names and +-1 entries
-    tree, cotree = spanning_cotree(ladder)
-    base = GaugeConfig.all_plus(ladder)
-    rows = cycle_cotree_matrix(ladder, cotree)
-    rhs = []
-    for name, loop in ladder.cycles.items():
-        # (-1)^x_sum must equal target / base_value on each basis loop
-        rhs.append(0 if values[name] == vortex_value(base, loop) else 1)
-    x = _solve_gf2(rows, rhs)
-    u = {pair: 1 for pair in tree}
-    for c, pair in enumerate(cotree):
-        u[pair] = -1 if (x >> c) & 1 else 1
+    sid = sector_id(ladder, values)  # validates names and +-1 entries
+    cotree, (x,) = cotree_flips(ladder, [sid])
+    u = dict.fromkeys(ladder.bond_map, 1)
+    u.update((pair, -1) for c, pair in enumerate(cotree) if (x >> c) & 1)
     out = GaugeConfig(u)
     got = sector_of(ladder, out)
     if dict(got.values) != dict(values):  # defensive; construction is exact

@@ -222,7 +222,7 @@ def test_criterion_6_big_loop_gap_decays_exponentially(capsys):
     for n in cells:
         ladder = build_ladder(n, "closed")
         cc = make_couplings("decaying-top-closed", ladder, jx=1.0, jy=0.2, jz=2.0)
-        gaps.append(big_loop_gap(ladder, cc, "BL").gap)
+        gaps.append(big_loop_gap(ladder, cc, ["BL"])[0].gap)
     decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
     first_bad = next((cells[i + 1] for i in range(len(gaps) - 1)
                       if gaps[i + 1] >= gaps[i]), None)

@@ -9,6 +9,7 @@ import pytest
 
 from vortexladder import cli
 from vortexladder.errors import ConvergenceError
+from vortexladder.lattice import build_ladder
 
 HOMOG = {"preset": "homogeneous-xyz", "jx": 1.1, "jy": 0.7, "jz": 1.3}
 
@@ -123,6 +124,18 @@ def test_sweep_json_and_csv(tmp_path):
     assert lines[9] == "# argmin_sector,0"
     assert lines[10] == "# tie_count,1"
     assert lines[11] == "# reflection_symmetric_cases,horizontal|vertical-open"
+
+
+def test_sweep_all_zero_couplings_ties_every_sector(tmp_path):
+    bonds = {f"{b.i}-{b.j}": 0.0 for b in build_ladder(2, "closed").bonds}
+    cfg = write_config(tmp_path, {"ladder": {"cells": 2, "boundary": "closed"},
+                                  "couplings": {"bonds": bonds}})
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
+    assert len(rows) == 32 and all(row[-1] == "1" for row in rows)
+    assert "# tie_count,32" in lines
 
 
 def test_gap_scan_summary(tmp_path):
@@ -314,6 +327,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         name="scan.json",
     )
     assert cli.main(["gap-scan", "--config", scan]) == 3
+    for key, value in (("cells_step", 0), ("cells_range", [1, 3])):
+        doc = {"ladder": {"boundary": "closed"}, "cells_range": [4, 6],
+               "couplings": {"preset": "decaying-top-closed"}, key: value}
+        assert cli.main(["gap-scan", "--config", write_config(tmp_path, doc)]) == 2
+        assert f"config.{key}" in capsys.readouterr().err
 
     def boom(conf, args):
         raise ConvergenceError("iteration stalled")

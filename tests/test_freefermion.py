@@ -9,10 +9,12 @@ from vortexladder.errors import (
     GuardExceededError,
     InconsistentSectorError,
     InvalidSpecError,
+    MalformedMatrixError,
 )
 from vortexladder.freefermion import (
     CouplingConfig,
     ModeSpectrum,
+    SkewAdjacency,
     assemble_skew,
     big_loop_gap,
     ground_energy,
@@ -25,7 +27,7 @@ from vortexladder.freefermion import (
     sector_union_spectrum,
     twisted_wrap_gap,
 )
-from vortexladder.gauge import GaugeConfig, enumerate_sectors, gauge_for_sector
+from vortexladder.gauge import GaugeConfig, enumerate_sectors, gauge_for_sector, sector_from_id
 from vortexladder.lattice import BondType, build_ladder
 from vortexladder.presets import make_couplings
 
@@ -63,6 +65,17 @@ def test_mode_spectrum_matches_hermitian_eigenvalues():
         # Hermitian spectrum of iA is the +-eps pairing
         paired = np.sort(np.concatenate([eps, -eps]))
         assert np.allclose(paired, ev, atol=1e-10)
+
+
+def test_mode_spectrum_rejects_malformed_matrices():
+    symmetric = np.zeros((4, 4))
+    symmetric[0, 1] = symmetric[1, 0] = 1.0
+    odd = np.zeros((3, 3))
+    odd[0, 1], odd[1, 0] = 1.0, -1.0
+    for matrix, message in ((np.zeros((2, 3)), "square"), (odd, "odd dimension"),
+                            (symmetric, "not antisymmetric")):
+        with pytest.raises(MalformedMatrixError, match=message):
+            mode_spectrum(SkewAdjacency(matrix))
 
 
 def test_ground_energy_is_minus_mode_sum():
@@ -116,6 +129,28 @@ def test_sector_sweep_threading_is_deterministic():
     )
 
 
+def test_batched_sector_gauges_match_gauge_for_sector(monkeypatch):
+    svd = np.linalg.svd
+    stacks = []
+
+    def recording_svd(a, *args, **kwargs):
+        stacks.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    rng = np.random.default_rng(29)
+    for n, bnd in itertools.product((2, 3, 4), ("open", "closed")):
+        lad = build_ladder(n, bnd)
+        cc = random_couplings(lad, rng)  # nonzero, so each matrix pins its gauge
+        sector_sweep(lad, cc)  # at most 2^9 sectors: one chunk, in id order
+        (stack,) = stacks
+        stacks.clear()
+        assert len(stack) == 1 << len(lad.cycle_names)
+        for sid, matrix in enumerate(stack):
+            g = gauge_for_sector(lad, sector_from_id(lad, sid))
+            assert np.array_equal(matrix, assemble_skew(lad, cc, g).matrix), (n, bnd, sid)
+
+
 def test_sweep_guard_on_wide_ladders():
     lad = build_ladder(16, "closed")  # 33 cycles > default guard
     cc = CouplingConfig.homogeneous(lad, 1.0, 1.0, 1.0)
@@ -136,6 +171,17 @@ def test_union_spectrum_shape_and_order():
     union = sector_union_spectrum(lad, cc)
     assert union.shape == (8 * 16,)  # 2^3 sectors x 2^4 levels
     assert np.all(np.diff(union) >= 0)
+
+
+def test_union_expansion_guard_trips_before_any_solve(monkeypatch):
+    lad = build_ladder(13, "open")  # 25 cycles pass the sector guard, 26 modes do not
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a sector was solved before the guard")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(GuardExceededError):
+        sector_union_spectrum(lad, CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3))
 
 
 def test_parse_pattern_tokens():
@@ -166,14 +212,19 @@ def test_pattern_sector_values():
 def test_big_loop_gap_report():
     ring = build_ladder(3, "closed")
     cc = make_couplings("decaying-top-closed", ring, jx=1.0, jy=0.2, jz=2.0)
-    rep = big_loop_gap(ring, cc, "BL")
+    rep = big_loop_gap(ring, cc, ["BL"])[0]
     assert rep.pattern.values["big"] == -1
     assert all(v == 1 for n, v in rep.pattern.values.items() if n != "big")
     assert rep.gap == pytest.approx(rep.energy_pattern - rep.energy_free, abs=0)
     assert rep.gap > 0
     # string, mapping and sector input forms agree
-    rep2 = big_loop_gap(ring, cc, {"big": -1})
+    rep2 = big_loop_gap(ring, cc, [{"big": -1}])[0]
     assert rep2.gap == rep.gap
+    # one call per ladder: each report equals the one from its own call
+    reports = big_loop_gap(ring, cc, ["p2", rep.pattern, "BL+p2N"])
+    assert reports[1].pattern is rep.pattern  # a VortexSector passes through
+    for r, pattern in zip(reports, ["p2", "BL", "BL+p2N"]):
+        assert r == big_loop_gap(ring, cc, [pattern])[0]
 
 
 def _decaying_ring(n):
@@ -187,7 +238,7 @@ def test_twisted_wrap_gap_matches_resolved_difference():
         free = pattern_sector(ring, {})
         skew = assemble_skew(ring, cc, gauge_for_sector(ring, free))
         twisted = twisted_wrap_gap(skew, mode_spectrum(skew))
-        rep = big_loop_gap(ring, cc, "BL")
+        rep = big_loop_gap(ring, cc, ["BL"])[0]
         # above the noise floor the report keeps the plain difference
         diff = sector_ground_energy(ring, cc, rep.pattern) - sector_ground_energy(ring, cc, free)
         assert rep.gap == diff
@@ -207,7 +258,7 @@ def _bipartite_ground_energy(ring, cc, sector, mpmath):
 def test_big_loop_gap_below_noise_floor_matches_high_precision():
     mpmath = pytest.importorskip("mpmath")
     ring, cc = _decaying_ring(20)
-    rep = big_loop_gap(ring, cc, "BL")
+    rep = big_loop_gap(ring, cc, ["BL"])[0]
     with mpmath.workdps(45):
         want = float(
             _bipartite_ground_energy(ring, cc, rep.pattern, mpmath)
