@@ -86,6 +86,8 @@ from .spin_ed import (
     SpectrumComparison,
     SpectrumReport,
     SpinOperator,
+    Tapering,
+    block_spectrum,
     build_spin_hamiltonian,
     compare_spectra,
     cycle_operators,
@@ -94,6 +96,7 @@ from .spin_ed import (
     label_eigenstates,
     lowest_eigenvalues,
     sigma,
+    taper,
     vortex_operator,
 )
 

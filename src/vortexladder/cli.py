@@ -230,7 +230,7 @@ def cmd_spectrum(conf: Conf, args) -> str:
             values = freefermion.sector_union_spectrum(ladder, couplings)
     elif method == "spin-dense":
         h = spin_ed.build_spin_hamiltonian(ladder, couplings)
-        values = spin_ed.dense_spectrum(h).eigenvalues
+        values = spin_ed.block_spectrum(h, spin_ed.cycle_operators(ladder))
     else:
         seed = _resolve_seed(args, conf)
         k = conf.get("k", int)
@@ -402,7 +402,7 @@ def cmd_compare(conf: Conf, args) -> str:
 
     if ladder.n_sites <= spin_ed.MAX_DENSE_SPINS:
         h = spin_ed.build_spin_hamiltonian(ladder, couplings)
-        spin = spin_ed.dense_spectrum(h).eigenvalues
+        spin = spin_ed.block_spectrum(h, spin_ed.cycle_operators(ladder))
         union = freefermion.sector_union_spectrum(ladder, couplings)
         comp = spin_ed.compare_spectra(spin, union, tol=tol)
         ground_delta = float(spin.min() - union.min())

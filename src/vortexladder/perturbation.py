@@ -215,44 +215,30 @@ def _plaquette_names(ladder: Ladder) -> list[str]:
     return [n for n in ladder.cycle_names if n != "big"]
 
 
-def _sector_minima_dense(ladder: Ladder, h, names, degeneracy_tol, seed):
-    """Label the low multiplet; per-sector minima plus multiplet centroids.
+def _sector_minima_dense(ladder: Ladder, h, names, targets):
+    """Ground energies of the ``targets`` sectors, plus multiplet centroids.
 
-    The aligned-x ground multiplet has dimension 2^{2N+1} (open) or 2^{2N}
-    (closed); a margin of extra states is kept so cluster edges are clean.
-    Centroids average over the labeled block of the multiplet only.
+    Every loop-operator block is solved.  The aligned-x ground multiplet is
+    the lowest 2^{2N+1} (open) or 2^{2N} (closed) states; each sector's
+    centroid averages its share of it.  The lifted ground vectors of the
+    targets are labeled afresh as an exact cross-check of the tapering.
     """
     N = ladder.n_cells
     mult = 1 << (2 * N + 1) if ladder.boundary is Boundary.OPEN else 1 << (2 * N)
-    dim = 1 << ladder.n_sites
-    k = min(mult + 32, dim)
-    report = spin_ed.dense_lowest(h, k)
-    if k < dim:
-        # a truncated degenerate cluster cannot be rotated into +-1 labels;
-        # keep only whole clusters
-        w = report.eigenvalues
-        breaks = [i + 1 for i in range(k - 1) if w[i + 1] - w[i] > degeneracy_tol]
-        whole = breaks[-1] if breaks else 0
-        if whole < mult:
-            raise LabelingError(
-                "ground multiplet is not separated at this tolerance; "
-                "lower degeneracy_tol or keep more states"
-            )
-        report = spin_ed.SpectrumReport(
-            report.method, w[:whole], vectors=report.vectors[:, :whole]
-        )
     ops = {name: spin_ed.vortex_operator(ladder, name) for name in names}
-    report = spin_ed.label_eigenstates(h, ops, report, degeneracy_tol=degeneracy_tol, seed=seed)
-    minima: dict[tuple[int, ...], float] = {}
-    sums: dict[tuple[int, ...], float] = {}
-    counts: dict[tuple[int, ...], int] = {}
-    for idx, energy in enumerate(report.eigenvalues):
-        key = tuple(int(report.labels[name][idx]) for name in names)
-        minima.setdefault(key, float(energy))  # eigenvalues ascend
-        if idx < mult:
-            sums[key] = sums.get(key, 0.0) + float(energy)
-            counts[key] = counts.get(key, 0) + 1
-    centroids = {key: sums[key] / counts[key] for key in sums}
+    tapering = spin_ed.taper(h, ops)
+    spectra = {key: spin_ed.dense_spectrum(block).eigenvalues for key, block in tapering.blocks.items()}
+    top = np.sort(np.concatenate(list(spectra.values())))[mult - 1]  # multiplet edge
+    centroids = {key: float(np.mean(w[w <= top])) for key, w in spectra.items() if w[0] <= top}
+    grounds = {key: spin_ed.dense_lowest(tapering.blocks[key], 1) for key in targets}
+    minima = {key: float(rep.eigenvalues[0]) for key, rep in grounds.items()}
+    vectors = np.column_stack([tapering.lift(key, grounds[key].vectors) for key in targets])
+    report = spin_ed.label_eigenstates(
+        h, ops, spin_ed.SpectrumReport("tapered", np.array([minima[k] for k in targets]), vectors=vectors)
+    )
+    for idx, key in enumerate(targets):
+        if tuple(int(report.labels[name][idx]) for name in names) != key:
+            raise LabelingError(f"lifted ground vector of sector {key} carries other labels")
     return minima, centroids
 
 
@@ -277,63 +263,39 @@ def _sector_min_penalty(ladder: Ladder, h, names, target, seed):
 
 
 def validate_against_ed(
-    ladder: Ladder,
-    split: PerturbationSplit,
-    degeneracy_tol: float | None = None,
-    seed: int = 11,
+    ladder: Ladder, split: PerturbationSplit, seed: int = 11
 ) -> PerturbationValidation:
     """Exact single-flip vortex gaps vs the third-order formulas.
 
     For every plaquette p_k the exact gap is the ground-energy difference
     between the "only B_k = -1" labeled subspace and the all-(+1) subspace
     (on rings the big-loop label is minimized over, matching the formulas,
-    which carry no big-loop term).
-
-    When ``degeneracy_tol`` is None a value is derived from the smallest
-    formula gap.  A fixed tolerance is a trap here: at small t the sector
-    gaps drop below any preset cluster width, labels then average across
-    sectors and the measured gaps collapse toward zero.
+    which carry no big-loop term).  Up to the dense guard the subspaces are
+    the exact loop-operator blocks of ``spin_ed.taper``; above it a penalty
+    shift and Lanczos (``seed``) give each subspace minimum.
     """
     split.validate_for(ladder)
     if ladder.n_sites > 16:
         raise GuardExceededError("validation needs 4N <= 16 spins")
     result = effective(ladder, split)
-    if degeneracy_tol is None:
-        finite = [g for g in result.gaps.values() if g is not None and g > 0]
-        smallest = min(finite) if finite else 1.0
-        degeneracy_tol = max(1e-12, min(1e-7, smallest / 50.0))
     h = spin_ed.build_spin_hamiltonian(ladder, split.to_couplings(ladder))
     names = _plaquette_names(ladder)
+    free = tuple(1 for _ in names)
+    flips = [tuple(-1 if q == pos else 1 for q in range(len(names))) for pos in range(len(names))]
 
     if ladder.n_sites <= spin_ed.MAX_DENSE_SPINS:
-        minima, centroids = _sector_minima_dense(ladder, h, names, degeneracy_tol, seed)
-
-        def sector_min(target):
-            if target not in minima:
-                raise LabelingError(f"sector {target} not found among the low states")
-            return minima[target]
-
-        def sector_mean(target):
-            return centroids.get(target)
-
+        minima, centroids = _sector_minima_dense(ladder, h, names, [free, *flips])
     else:
-        def sector_min(target):
-            return _sector_min_penalty(ladder, h, names, target, seed)
+        minima = {key: _sector_min_penalty(ladder, h, names, key, seed) for key in [free, *flips]}
+        centroids = {}
 
-        def sector_mean(target):
-            return None
-
-    free = tuple(1 for _ in names)
-    e_free = sector_min(free)
-    mean_free = sector_mean(free)
+    e_free = minima[free]
     rows = []
-    for pos, name in enumerate(names):
-        target = tuple(-1 if q == pos else 1 for q in range(len(names)))
-        exact = sector_min(target) - e_free
-        mean_target = sector_mean(target)
+    for name, target in zip(names, flips):
+        exact = minima[target] - e_free
         multiplet = None
-        if mean_target is not None and mean_free is not None:
-            multiplet = mean_target - mean_free
+        if target in centroids and free in centroids:
+            multiplet = centroids[target] - centroids[free]
         formula = result.gaps.get(name)
         if formula is None:
             rows.append(GapRow(name, None, exact, None, None, multiplet))

@@ -38,6 +38,7 @@ MAX_ITER_K = 64
 RESIDUAL_TOL = 1e-8
 
 _PHASE = (1.0, 1j, -1.0, -1j)  # i**k
+_SQRT_HALF = 0.5 ** 0.5
 
 
 @dataclass(frozen=True)
@@ -306,7 +307,9 @@ def dense_spectrum(
 
 
 def dense_lowest(h: SpinOperator, k: int, guard: int = MAX_DENSE_SPINS) -> SpectrumReport:
-    """Lowest k eigenpairs of the dense matrix (for label extraction)."""
+    """Lowest k eigenpairs of the dense matrix (k is capped at the dimension)."""
+    if k < 1:
+        raise GuardExceededError(f"k={k} must be >= 1")
     if not h.is_hermitian(tol=0.0):
         raise MalformedMatrixError("operator is not Hermitian")
     mat = h.to_dense(guard=guard)
@@ -352,72 +355,147 @@ def lowest_eigenvalues(h: SpinOperator, k: int, seed: int) -> SpectrumReport:
 
 
 # ---------------------------------------------------------------------------
+# loop-operator blocks
+
+def _gather_bits(bits, keep: Sequence[int]):
+    """The bits of ``bits`` at positions ``keep``, packed low to high (ints or arrays)."""
+    return sum((((bits >> q) & 1) << j for j, q in enumerate(keep)), 0 * bits)
+
+
+def _rotate(op: SpinOperator, anchors, generators) -> SpinOperator:
+    """U^dag op U for U = prod_i (a_i + g_i)/sqrt(2); op must commute with every g_i."""
+    out = SpinOperator(op.n_sites)
+    for (x, z), c in op.terms.items():
+        ps = PauliString(x, z)
+        for a, g in zip(anchors, generators):
+            if not ps.commutes_with(g):
+                raise InvalidSpecError("operator does not commute with the loop operators")
+            if not ps.commutes_with(a):
+                ps = a * g * ps
+        out.add_string(ps, c)
+    return out
+
+
+def _restrict(op: SpinOperator, pivots: Sequence[int], signs: Sequence[int]) -> SpinOperator:
+    """Replace a_i by signs[i] on pivot qubit i and drop the pivot qubits."""
+    keep = [q for q in range(op.n_sites) if q not in pivots]
+    out = SpinOperator(len(keep))
+    for (x, z), c in op.terms.items():
+        for q, s in zip(pivots, signs):
+            if (x | z) >> q & 1:  # the term acts on q as a_i
+                c = c * s
+        out._accumulate((_gather_bits(x, keep), _gather_bits(z, keep)), c)
+    return out
+
+
+@dataclass(frozen=True)
+class Tapering:
+    """An operator split into loop-operator blocks; see ``taper``."""
+
+    n_sites: int
+    pivots: tuple[int, ...]              # pivot qubit (bit index) per generator
+    anchors: tuple[PauliString, ...]     # a_i: Z or X on the pivot qubit
+    generators: tuple[PauliString, ...]  # g_i after elimination
+    signs: dict[tuple[int, ...], tuple[int, ...]]  # block labels -> eigenvalues of the a_i
+    blocks: dict[tuple[int, ...], SpinOperator]    # block labels -> operator on n - k qubits
+
+    def lift(self, key: tuple[int, ...], vectors: np.ndarray) -> np.ndarray:
+        """Columns of block ``key`` as full-basis vectors: U_1...U_k (v x pivot states)."""
+        cols = np.arange(1 << self.n_sites)
+        keep = [q for q in range(self.n_sites) if q not in self.pivots]
+        amp = np.ones(cols.size)
+        for q, a, lam in zip(self.pivots, self.anchors, self.signs[key]):
+            bit = (cols >> q) & 1  # set <=> sigma^z = -1
+            amp = amp * (bit == (lam < 0) if a.z_mask else np.where(bit, lam, 1) * _SQRT_HALF)
+        psi = amp[:, None] * np.asarray(vectors)[_gather_bits(cols, keep)]
+        for a, g in zip(self.anchors, self.generators):
+            u = SpinOperator(self.n_sites).add_string(a, _SQRT_HALF).add_string(g, _SQRT_HALF)
+            psi = u.compiled().matmat(psi)
+        return psi
+
+
+def taper(h: SpinOperator, ops: Mapping[str, SpinOperator]) -> Tapering:
+    """Split h exactly into one block per +-1 label tuple of the loop operators.
+
+    The operators must be independent, mutually commuting Hermitian Pauli
+    strings with coefficient +-1 that commute with h; otherwise
+    InvalidSpecError is raised before any matrix exists.  Elimination makes
+    each generator g_i anticommute with a single-qubit Pauli a_i on its own
+    pivot qubit and commute with every other a_j, so U_i = (a_i + g_i)/sqrt(2)
+    is Hermitian, unitary and maps g_i to a_i; under U = U_1...U_k every term
+    of h acts on pivot i as 1 or a_i.  Setting a_i = +-1 and dropping the
+    pivots leaves a block on n - k qubits.  Each loop operator, sent through
+    the same reduction, becomes exactly +-1 times the identity: that sign is
+    its label, and block keys list the labels in the order of ``ops``.
+    """
+    gens = []
+    for name, op in ops.items():
+        (x, z), c = next(iter(op.terms.items()), ((0, 0), 0))
+        if op.n_sites != h.n_sites or len(op.terms) != 1 or c not in (1, -1) or (x & z).bit_count() & 1:
+            raise InvalidSpecError(f"{name} is not a Hermitian +-1 Pauli string on {h.n_sites} sites")
+        gens.append(PauliString(x, z, 0 if c == 1 else 2))
+    if any(not a.commutes_with(b) for i, a in enumerate(gens) for b in gens[:i]):
+        raise InvalidSpecError("loop operators do not commute")
+    pivots: list[int] = []
+    anchors: list[PauliString] = []
+    for i, name in enumerate(ops):
+        free = (gens[i].x_mask | gens[i].z_mask) & ~sum(1 << q for q in pivots)
+        if not free:
+            raise InvalidSpecError(f"loop operator {name} is a product of the others")
+        q = (free & -free).bit_length() - 1
+        a = PauliString(0, 1 << q) if gens[i].x_mask >> q & 1 else PauliString(1 << q, 0)
+        gens = [g if j == i or g.commutes_with(a) else g * gens[i] for j, g in enumerate(gens)]
+        pivots.append(q)
+        anchors.append(a)
+    rotated_h = _rotate(h, anchors, gens)
+    rotated_ops = [_rotate(op, anchors, gens) for op in ops.values()]
+    signs, blocks = {}, {}
+    for m in range(1 << len(pivots)):
+        lams = tuple(-1 if m >> i & 1 else 1 for i in range(len(pivots)))
+        key = []
+        for name, op in zip(ops, rotated_ops):
+            label = _restrict(op, pivots, lams).terms
+            if len(label) != 1 or label.get((0, 0)) not in (1, -1):
+                raise LabelingError(f"{name} did not reduce to +-1 in block {lams}")
+            key.append(int(complex(label[(0, 0)]).real))
+        signs[tuple(key)] = lams
+        blocks[tuple(key)] = _restrict(rotated_h, pivots, lams)
+    return Tapering(h.n_sites, tuple(pivots), tuple(anchors), tuple(gens), signs, blocks)
+
+
+def block_spectrum(h: SpinOperator, ops: Mapping[str, SpinOperator]) -> np.ndarray:
+    """Full spectrum of h, ascending, as the union of its loop-operator blocks."""
+    if h.n_sites > MAX_DENSE_SPINS:
+        raise GuardExceededError(f"{h.n_sites} spins exceeds the dense guard ({MAX_DENSE_SPINS})")
+    blocks = taper(h, ops).blocks.values()
+    return np.sort(np.concatenate([dense_spectrum(b).eigenvalues for b in blocks]))
+
+
+# ---------------------------------------------------------------------------
 # labels
 
-def _clusters(values: np.ndarray, tol: float) -> list[slice]:
-    edges = [0]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > tol:
-            edges.append(i)
-    edges.append(len(values))
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
 def label_eigenstates(
-    h: SpinOperator,
-    vortex_ops: Mapping[str, SpinOperator],
-    report: SpectrumReport,
-    degeneracy_tol: float = 1e-7,
-    seed: int = 7,
+    h: SpinOperator, vortex_ops: Mapping[str, SpinOperator], report: SpectrumReport
 ) -> SpectrumReport:
     """Attach a +-1 label per loop operator to every state in the report.
 
-    Degenerate clusters (eigenvalue spread <= degeneracy_tol) are rotated
-    into a simultaneous eigenbasis of the projected loop operators before
-    reading labels off the diagonal; labels further than 1e-6 from +-1
-    raise LabelingError.
+    Each label is read off <v|B|v>, so every vector must be a normalized
+    eigenvector of every loop operator: a value further than 1e-6 from +-1
+    (say, a mixture of two sectors) raises LabelingError, as does an
+    operator that does not commute with H exactly.
     """
     if report.vectors is None:
         raise LabelingError("report carries no eigenvectors to label")
-    _check_commutation(h, vortex_ops, seed)
-    w = report.eigenvalues
     vecs = report.vectors
-    appliers = {name: op.compiled() for name, op in vortex_ops.items()}
-    labels = {name: np.zeros(len(w), dtype=np.int64) for name in vortex_ops}
-    rng = np.random.default_rng(seed)
-    for sl in _clusters(w, degeneracy_tol):
-        block = vecs[:, sl]
-        m = block.shape[1]
-        projected = {
-            name: block.conj().T @ appliers[name].matmat(block) for name in vortex_ops
-        }
-        if m == 1:
-            rotation = np.eye(1)
-        else:
-            weights = rng.uniform(1.0, 2.0, size=len(projected))
-            mix = sum(wt * mat for wt, mat in zip(weights, projected.values()))
-            mix = (mix + mix.conj().T) / 2
-            _, rotation = np.linalg.eigh(mix)
-        for name, mat in projected.items():
-            diag = np.real(np.diagonal(rotation.conj().T @ mat @ rotation))
-            if np.max(np.abs(np.abs(diag) - 1.0), initial=0.0) > 1e-6:
-                raise LabelingError(
-                    f"cluster {sl} does not resolve into +-1 labels for {name}"
-                )
-            labels[name][sl] = np.where(diag > 0, 1, -1)
+    labels = {}
+    for name, op in vortex_ops.items():
+        if not h.commutator(op).is_zero:
+            raise LabelingError(f"operator {name} does not commute with H")
+        values = np.real(np.sum(vecs.conj() * op.compiled().matmat(vecs), axis=0))
+        if np.max(np.abs(np.abs(values) - 1.0), initial=0.0) > 1e-6:
+            raise LabelingError(f"states do not resolve into +-1 labels for {name}")
+        labels[name] = np.where(values > 0, 1, -1)
     return replace(report, labels=labels)
-
-
-def _check_commutation(h: SpinOperator, ops: Mapping[str, SpinOperator], seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    applier_h = h.compiled()
-    v = rng.standard_normal(applier_h.dim)
-    v /= np.linalg.norm(v)
-    for name, op in ops.items():
-        ap = op.compiled()
-        resid = np.linalg.norm(applier_h.matvec(ap.matvec(v)) - ap.matvec(applier_h.matvec(v)))
-        if resid > 1e-10 * max(1.0, h.coefficient_norm()):
-            raise LabelingError(f"operator {name} does not commute with H (resid {resid:.2e})")
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,33 @@ def test_formula_error_shrinks_faster_than_cubic_at_n3():
         assert vb.row(name).rel_err < va.row(name).rel_err
 
 
+def test_multiplet_centroids_match_projector_traces_at_n3():
+    # Reference from the full H: its lowest 2^{2N+1} eigenpairs, and each
+    # sector's share of their energy through the exact projector
+    # prod_k (1 + b_k B_k)/2, with no labeling at all.
+    from vortexladder import spin_ed
+
+    lad = build_ladder(3, "open")
+    split = PerturbationSplit.from_uniform(lad, 1.0, 0.04)
+    val = validate_against_ed(lad, split, seed=11)
+    h = spin_ed.build_spin_hamiltonian(lad, split.to_couplings(lad))
+    names = [f"p{k}" for k in range(1, 6)]
+    low = spin_ed.dense_lowest(h, 128)
+    ops = [spin_ed.vortex_operator(lad, name).compiled() for name in names]
+
+    def centroid(key):
+        projected = low.vectors
+        for op, b in zip(ops, key):
+            projected = (projected + b * op.matmat(projected)) / 2
+        weight = np.einsum("ij,ij->j", low.vectors, projected)
+        return float(weight @ low.eigenvalues / weight.sum())
+
+    free = centroid((1,) * 5)
+    for pos, name in enumerate(names):
+        key = tuple(-1 if q == pos else 1 for q in range(5))
+        assert val.row(name).delta_e_multiplet == pytest.approx(centroid(key) - free, abs=1e-12)
+
+
 def test_validation_closed_ring_reports_unmatched_plaquette():
     ring = build_ladder(3, "closed")
     split = PerturbationSplit.from_uniform(ring, 1.0, 0.04)

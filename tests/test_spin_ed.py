@@ -5,13 +5,24 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from vortexladder.errors import GuardExceededError, InvalidSpecError
-from vortexladder.freefermion import CouplingConfig, sector_ground_energy, sector_union_spectrum
-from vortexladder.gauge import enumerate_sectors
+from vortexladder.errors import GuardExceededError, InvalidSpecError, LabelingError
+from vortexladder.freefermion import (
+    CouplingConfig,
+    assemble_skew,
+    many_body_spectrum,
+    mode_spectrum,
+    sector_ground_energy,
+    sector_union_spectrum,
+)
+from vortexladder.gauge import enumerate_sectors, gauge_for_sector
 from vortexladder.lattice import build_ladder
 from vortexladder.spin_ed import (
     PauliString,
+    SpectrumReport,
     SpinOperator,
+    _restrict,
+    _rotate,
+    block_spectrum,
     build_spin_hamiltonian,
     compare_spectra,
     cycle_operators,
@@ -21,6 +32,7 @@ from vortexladder.spin_ed import (
     label_eigenstates,
     lowest_eigenvalues,
     sigma,
+    taper,
     vortex_operator,
 )
 
@@ -159,6 +171,9 @@ def test_dense_lowest_prefix():
     low = dense_lowest(h, 40).eigenvalues
     assert low.shape == (40,)
     assert np.allclose(low, full[:40], atol=1e-12)
+    for k in (0, -1):
+        with pytest.raises(GuardExceededError):
+            dense_lowest(h, k)
 
 
 def test_iterative_lowest_matches_dense():
@@ -182,16 +197,30 @@ def test_iterative_lowest_matches_dense():
     assert np.allclose(fb.eigenvalues, want, atol=1e-9)
 
 
+def _lifted_report(lad, h):
+    """Every eigenpair of every loop-operator block, lifted to the full basis,
+    with the block key each vector came from."""
+    tap = taper(h, cycle_operators(lad))
+    values, vectors, keys = [], [], []
+    for key, block in tap.blocks.items():
+        rep = dense_spectrum(block, with_vectors=True)
+        values.append(rep.eigenvalues)
+        vectors.append(tap.lift(key, rep.vectors))
+        keys += [key] * len(rep.eigenvalues)
+    return SpectrumReport("tapered", np.concatenate(values), vectors=np.hstack(vectors)), keys
+
+
 def test_label_eigenstates_block_sizes():
     lad = build_ladder(2, "open")
     cc = CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3)
     h = build_spin_hamiltonian(lad, cc)
-    rep = label_eigenstates(h, cycle_operators(lad), dense_spectrum(h, with_vectors=True))
+    report, keys = _lifted_report(lad, h)
+    rep = label_eigenstates(h, cycle_operators(lad), report)
     assert set(rep.labels) == {"p1", "p2", "p3"}
-    keys = list(zip(*(rep.labels[n] for n in ("p1", "p2", "p3"))))
-    assert all(v in (-1, 1) for key in keys for v in key)
+    labeled = list(zip(*(rep.labels[n].tolist() for n in ("p1", "p2", "p3"))))
+    assert labeled == keys  # each lifted vector carries its block's labels
     counts = {}
-    for key in keys:
+    for key in labeled:
         counts[key] = counts.get(key, 0) + 1
     # 2^{2N-1} sectors, each carrying dim / #sectors = 32 states
     assert len(counts) == 8
@@ -202,16 +231,111 @@ def test_labeled_minima_match_fermionic_sector_grounds():
     lad = build_ladder(2, "open")
     cc = CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3)
     h = build_spin_hamiltonian(lad, cc)
-    rep = label_eigenstates(h, cycle_operators(lad), dense_spectrum(h, with_vectors=True))
+    report, _ = _lifted_report(lad, h)
+    rep = label_eigenstates(h, cycle_operators(lad), report)
     names = lad.cycle_names
     minima = {}
     for idx, e in enumerate(rep.eigenvalues):
         key = tuple(int(rep.labels[n][idx]) for n in names)
-        minima.setdefault(key, float(e))
+        minima[key] = min(minima.get(key, np.inf), float(e))
+    assert len(minima) == 8
     for sec in enumerate_sectors(lad):
         key = tuple(sec.values[n] for n in names)
         want = sector_ground_energy(lad, cc, sec)
         assert minima[key] == pytest.approx(want, abs=1e-9)
+
+
+def test_label_eigenstates_rejects_mixtures_and_takes_empty_maps():
+    lad = build_ladder(2, "open")
+    h = build_spin_hamiltonian(lad, CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3))
+    ops = cycle_operators(lad)
+    report, keys = _lifted_report(lad, h)
+    i, j = 0, keys.index(next(k for k in keys if k != keys[0]))
+    mix = (report.vectors[:, i] + report.vectors[:, j]) / np.sqrt(2)
+    with pytest.raises(LabelingError):
+        label_eigenstates(h, ops, SpectrumReport("mix", np.zeros(1), vectors=mix[:, None]))
+    assert label_eigenstates(h, {}, report).labels == {}
+    with pytest.raises(LabelingError):  # sigma^x_1 does not commute with H
+        label_eigenstates(h, {"x1": SpinOperator(8).add_string(sigma("x", 1))}, report)
+
+
+def _random_signed(lad, rng):
+    return CouplingConfig(
+        {b.pair: float(rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.5)) for b in lad.bonds}
+    )
+
+
+def _is_submultiset(small, big, tol):
+    """Every value of ``small`` matched to its own value of ``big`` within tol."""
+    pool = list(np.sort(big))
+    for v in np.sort(small):
+        hits = [i for i, w in enumerate(pool) if abs(w - v) <= tol]
+        if not hits:
+            return False
+        pool.pop(hits[0])
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("boundary", ["open", "closed"])
+def test_taper_blocks_are_exact(n, boundary):
+    lad = build_ladder(n, boundary)
+    cc = _random_signed(lad, np.random.default_rng(40 + n))
+    h = build_spin_hamiltonian(lad, cc)
+    ops = cycle_operators(lad)
+    names = list(ops)
+    tap = taper(h, ops)
+    k = len(names)
+    assert len(tap.blocks) == 1 << k
+    assert all(b.n_sites == lad.n_sites - k for b in tap.blocks.values())
+
+    full = dense_spectrum(h).eigenvalues
+    assert np.max(np.abs(block_spectrum(h, ops) - full)) <= 1e-11
+
+    applier = h.compiled()
+    for sec in enumerate_sectors(lad):
+        key = tuple(sec.values[name] for name in names)
+        levels = many_body_spectrum(
+            mode_spectrum(assemble_skew(lad, cc, gauge_for_sector(lad, sec)))
+        )
+        rep = dense_spectrum(tap.blocks[key], with_vectors=True)
+        if boundary == "open":  # each fermion level twice
+            assert np.max(np.abs(rep.eigenvalues - np.sort(np.repeat(levels, 2)))) <= 1e-10
+        else:  # one parity's half of the sector's levels
+            assert 2 * len(rep.eigenvalues) == len(levels)
+            assert _is_submultiset(rep.eigenvalues, levels, 1e-10)
+        for name, op in ops.items():
+            reduced = _restrict(_rotate(op, tap.anchors, tap.generators), tap.pivots, tap.signs[key])
+            assert reduced.terms == {(0, 0): sec.values[name]}
+        psi = tap.lift(key, rep.vectors[:, :16])
+        resid = applier.matmat(psi) - psi * rep.eigenvalues[:16]
+        assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-10
+        assert np.allclose(psi.T @ psi, np.eye(psi.shape[1]), atol=1e-12)
+
+
+def test_taper_rejects_bad_operator_lists(monkeypatch):
+    lad = build_ladder(2, "open")
+    h = build_spin_hamiltonian(lad, CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3))
+    ops = cycle_operators(lad)
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a matrix was built before the operator list was checked")
+
+    monkeypatch.setattr(SpinOperator, "to_dense", no_matrix)
+    monkeypatch.setattr(SpinOperator, "compiled", no_matrix)
+    bad = {
+        "non-commuting": {"x1": SpinOperator(8).add_string(sigma("x", 1)),
+                          "z1": SpinOperator(8).add_string(sigma("z", 1))},
+        "dependent": {**ops, "p1p2": ops["p1"] * ops["p2"]},
+        "not a symmetry of H": {"z1": SpinOperator(8).add_string(sigma("z", 1))},
+        "coefficient 2": {"p1": ops["p1"] * 2.0},
+        "two strings": {"p1": ops["p1"] + ops["p2"]},
+        "wrong site count": {"p1": SpinOperator(9, ops["p1"].terms)},
+    }
+    for case, operators in bad.items():
+        with pytest.raises(InvalidSpecError):
+            block_spectrum(h, operators)
+            pytest.fail(case)
 
 
 def test_compare_spectra_open_equal_closed_not():
