@@ -1,10 +1,10 @@
 """Reflection positivity checks in a Fock representation of Majoranas.
 
-n Majorana generators c_1..c_n (n even) act on a 2^{n/2}-dimensional Fock
-space through n/2 ladder pairs: c_{2mu-1} = a_mu + a_mu^*,
-c_{2mu} = i(a_mu - a_mu^*), with the usual string of number parities in
-front.  The "negative" half of the system is indices 1..n/2 by convention;
-reflections are fixed-point-free involutions theta exchanging the halves.
+n Majorana generators c_1..c_n (n even) are the Jordan-Wigner strings
+c_{2mu-1} = Z^{<mu} X_mu, c_{2mu} = -Z^{<mu} Y_mu of ``spin_ed`` on n/2 modes,
+mode mu on bit n/2-1-mu.  The "negative" half of the system is indices 1..n/2
+by convention; reflections are fixed-point-free involutions theta exchanging
+the halves.
 
 The reflection acts on polynomials antilinearly: coefficients conjugate,
 indices map through theta, and monomials are re-sorted with the fermionic
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import InvalidSpecError, MalformedMatrixError
 from .freefermion import SkewAdjacency, ground_energy, mode_spectrum
 from .gauge import SignAssignment
+from .spin_ed import PauliString, SpinOperator
 
 MAX_FOCK_MAJORANAS = 16
 SYMMETRY_TOL = 1e-10
@@ -32,7 +34,8 @@ SYMMETRY_TOL = 1e-10
 @dataclass(frozen=True)
 class MajoranaRep:
     n: int
-    matrices: tuple[np.ndarray, ...]  # matrices[j-1] represents c_j
+    strings: tuple[PauliString, ...]  # strings[j-1] is c_j
+    matrices: tuple[np.ndarray, ...]  # matrices[j-1] represents c_j (read-only)
 
     @property
     def dim(self) -> int:
@@ -45,23 +48,21 @@ def fock_majoranas(n: int) -> MajoranaRep:
     if n % 2 or not (2 <= n <= MAX_FOCK_MAJORANAS):
         raise InvalidSpecError(f"need an even Majorana count in 2..{MAX_FOCK_MAJORANAS}, got {n}")
     modes = n // 2
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]])  # a|1> = |0>
-    parity = np.array([[1.0, 0.0], [0.0, -1.0]])
-    eye = np.eye(2)
-    mats: list[np.ndarray] = []
+    dim, idx = 1 << modes, np.arange(1 << modes)
+    strings, mats = [], []
     for mu in range(modes):
-        a = np.array([[1.0]])
-        for nu in range(modes):
-            if nu < mu:
-                a = np.kron(a, parity)
-            elif nu == mu:
-                a = np.kron(a, lower)
-            else:
-                a = np.kron(a, eye)
-        adag = a.conj().T
-        mats.append(a + adag)
-        mats.append(1j * (a - adag))
-    return MajoranaRep(n, tuple(mats))
+        bit = 1 << (modes - 1 - mu)
+        below = dim - 2 * bit  # the bits of the modes nu < mu
+        odd, real = PauliString(bit, below), PauliString(bit, below | bit, 2)  # real = -i c_{2mu}
+        strings += [odd, PauliString(bit, below | bit, 3)]
+        # the signed zeros of the product-state construction: c_{2mu-1}[r, c] has the sign
+        # (-1)^{|r & c & below|}, and 1j * real leaves -0.0 real parts where real < 0
+        signs = np.where(np.bitwise_count(idx[:, None] & idx & below) & 1, -1.0, 1.0)
+        odd_mat, real_mat = (SpinOperator(modes).add_string(ps).to_dense() for ps in (odd, real))
+        mats += [np.copysign(odd_mat, signs), 1j * real_mat]
+    for mat in mats:
+        mat.flags.writeable = False  # cached: shared by every caller
+    return MajoranaRep(n, tuple(strings), tuple(mats))
 
 
 def negative_half(n: int) -> frozenset[int]:
@@ -176,17 +177,16 @@ class MajoranaPolynomial:
             abs(self.terms.get(k, 0) - other.terms.get(k, 0)) <= tol * scale for k in keys
         )
 
-    def to_matrix(self, rep: MajoranaRep | None = None) -> np.ndarray:
-        rep = rep or fock_majoranas(self.n)
-        if rep.n != self.n:
-            raise InvalidSpecError("representation size does not match the polynomial")
-        out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    def to_matrix(self) -> np.ndarray:
+        """Dense matrix: each monomial's strings multiplied in index order, summed in term order."""
+        strings = fock_majoranas(self.n).strings
+        op = SpinOperator(self.n // 2)
         for mono, c in self.terms.items():
-            acc = np.eye(rep.dim, dtype=complex)
+            ps = PauliString(0, 0)
             for v in mono:
-                acc = acc @ rep.matrices[v - 1]
-            out += c * acc
-        return out
+                ps = ps * strings[v - 1]
+            op.add_string(ps, c)
+        return np.asarray(op.to_dense(), dtype=complex)
 
 
 def quadratic(n: int, weights: Mapping[tuple[int, int], float]) -> MajoranaPolynomial:
@@ -232,17 +232,26 @@ def split_by_side(poly: MajoranaPolynomial) -> tuple[MajoranaPolynomial, ...]:
 # ---------------------------------------------------------------------------
 # functionals and checks
 
-def _hermitian_matrix(h: MajoranaPolynomial, rep: MajoranaRep) -> np.ndarray:
-    mat = h.to_matrix(rep)
+def _hermitian_matrix(h: MajoranaPolynomial) -> np.ndarray:
+    mat = h.to_matrix()
     scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
     if np.abs(mat - mat.conj().T).max(initial=0.0) > SYMMETRY_TOL * scale:
         raise MalformedMatrixError("Hamiltonian is not Hermitian in the Fock representation")
     return mat
 
 
-def _gibbs(h: MajoranaPolynomial, beta: float, rep: MajoranaRep) -> np.ndarray:
-    w, v = np.linalg.eigh(_hermitian_matrix(h, rep))
-    return (v * np.exp(-beta * w)) @ v.conj().T
+@lru_cache(maxsize=32)
+def _gibbs_state(n: int, terms: tuple, beta: float) -> np.ndarray:
+    w, v = np.linalg.eigh(_hermitian_matrix(MajoranaPolynomial(n, dict(terms))))
+    state = (v * np.exp(-beta * w)) @ v.conj().T
+    state.flags.writeable = False
+    return state
+
+
+def _gibbs(h: MajoranaPolynomial, beta: float) -> np.ndarray:
+    """e^{-beta H}, once per exact (H, beta): the key is the ordered term list, and
+    coefficients hold no signed zero (``_accumulate`` adds them to 0)."""
+    return _gibbs_state(h.n, tuple(h.terms.items()), beta)
 
 
 def rp_functional(
@@ -259,8 +268,7 @@ def rp_functional(
     refl_b = reflect(B, theta)  # validates theta and one-sided support
     if not _reflect_any(H, theta).close_to(H, SYMMETRY_TOL):
         raise InvalidSpecError("H is not reflection-symmetric under theta")
-    rep = fock_majoranas(B.n)
-    val = complex(np.trace(B.to_matrix(rep) @ refl_b.to_matrix(rep) @ _gibbs(H, beta, rep)))
+    val = complex(np.trace(B.to_matrix() @ refl_b.to_matrix() @ _gibbs(H, beta)))
     if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
         raise MalformedMatrixError(f"trace functional came out non-real: {val}")
     return float(val.real)
@@ -328,10 +336,7 @@ def trace_bound_check(
     H2: MajoranaPolynomial,
     beta: float = 1.0,
 ) -> TraceBoundReport:
-    rep = fock_majoranas(H.n)
-    lhs = float(np.trace(_gibbs(H, beta, rep)).real)
-    t1 = float(np.trace(_gibbs(H1, beta, rep)).real)
-    t2 = float(np.trace(_gibbs(H2, beta, rep)).real)
+    lhs, t1, t2 = (float(np.trace(_gibbs(h, beta)).real) for h in (H, H1, H2))
     rhs = float(np.sqrt(t1) * np.sqrt(t2))
     return TraceBoundReport(beta, lhs, rhs, lhs - rhs)
 
@@ -352,8 +357,8 @@ class EnergyInequalityReport:
         return self.e0 <= self.tol and self.gap >= -self.tol
 
 
-def _ground_state_energy(h: MajoranaPolynomial, rep: MajoranaRep) -> float:
-    return float(np.linalg.eigvalsh(_hermitian_matrix(h, rep))[0])
+def _ground_state_energy(h: MajoranaPolynomial) -> float:
+    return float(np.linalg.eigvalsh(_hermitian_matrix(h))[0])
 
 
 def energy_inequality_check(
@@ -364,11 +369,8 @@ def energy_inequality_check(
 ) -> EnergyInequalityReport:
     """0 >= E0(H) >= (E0(H1) + E0(H2))/2 within tol.  Quadratic H is also
     cross-checked against the antisymmetric-matrix mode solver."""
-    rep = fock_majoranas(H.n)
-    e0 = _ground_state_energy(H, rep)
-    report = EnergyInequalityReport(
-        e0, _ground_state_energy(H1, rep), _ground_state_energy(H2, rep), tol
-    )
+    e0 = _ground_state_energy(H)
+    report = EnergyInequalityReport(e0, _ground_state_energy(H1), _ground_state_energy(H2), tol)
     if H.terms and all(len(m) == 2 for m in H.terms):
         a = np.zeros((H.n, H.n))
         for (i, j), c in H.terms.items():
@@ -389,19 +391,16 @@ def energy_inequality_check(
 # sampling helpers
 
 def even_monomials(indices: Iterable[int], max_degree: int = 4) -> list[tuple[int, ...]]:
-    from itertools import combinations
-
     idx = sorted(indices)
-    out: list[tuple[int, ...]] = []
-    for deg in range(0, max_degree + 1, 2):
-        out.extend(combinations(idx, deg))
-    return out
+    return [mono for deg in range(0, max_degree + 1, 2) for mono in combinations(idx, deg)]
 
 
 def random_even_element(
     rng: np.random.Generator, n: int, max_degree: int = 4, side: str = "negative"
 ) -> MajoranaPolynomial:
     """Even polynomial supported on one half, uniform complex coefficients."""
+    if side not in ("negative", "positive"):
+        raise InvalidSpecError(f"side must be 'negative' or 'positive', got {side!r}")
     half = negative_half(n)
     indices = sorted(half) if side == "negative" else sorted(set(range(1, n + 1)) - half)
     terms = {

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vortexladder import rp
 from vortexladder.errors import InvalidSpecError, MalformedMatrixError
 from vortexladder.rp import (
     MajoranaPolynomial,
@@ -20,6 +21,38 @@ from vortexladder.rp import (
     split_by_side,
     trace_bound_check,
 )
+from vortexladder.spin_ed import PauliString
+
+
+def _kron_majoranas(n):
+    """The product-state construction: c_{2mu-1} = a_mu + a_mu^*,
+    c_{2mu} = i(a_mu - a_mu^*), a_mu = parity^{<mu} (x) lower (x) 1."""
+    modes = n // 2
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])  # a|1> = |0>
+    parity = np.array([[1.0, 0.0], [0.0, -1.0]])
+    eye = np.eye(2)
+    mats = []
+    for mu in range(modes):
+        a = np.array([[1.0]])
+        for nu in range(modes):
+            a = np.kron(a, parity if nu < mu else lower if nu == mu else eye)
+        adag = a.conj().T
+        mats.append(a + adag)
+        mats.append(1j * (a - adag))
+    return mats
+
+
+def _kron_matrix(poly):
+    """Reference to_matrix: one dense product per monomial, summed in term order."""
+    mats = _kron_majoranas(poly.n)
+    dim = 1 << (poly.n // 2)
+    out = np.zeros((dim, dim), dtype=complex)
+    for mono, c in poly.terms.items():
+        acc = np.eye(dim, dtype=complex)
+        for v in mono:
+            acc = acc @ mats[v - 1]
+        out += c * acc
+    return out
 
 
 def test_fock_clifford_relations():
@@ -46,14 +79,13 @@ def test_quartic_monomial_squares_to_plus_identity():
     p = MajoranaPolynomial(4, {(1, 2, 3, 4): 1.0})
     sq = p * p
     assert sq.terms == {(): 1.0}
-    m = p.to_matrix(fock_majoranas(4))
+    m = p.to_matrix()
     assert np.array_equal(m @ m, np.eye(4))
 
 
 def test_polynomial_algebra_is_matrix_homomorphism():
     rng = np.random.default_rng(9)
     n = 6
-    rep = fock_majoranas(n)
     monos = even_monomials(range(1, n + 1)) + [(1,), (3,), (1, 2, 5), (2, 4, 6)]
     for _ in range(50):
         pick = rng.choice(len(monos), size=4, replace=False)
@@ -63,10 +95,10 @@ def test_polynomial_algebra_is_matrix_homomorphism():
         b = MajoranaPolynomial(
             n, {monos[i]: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for i in pick[2:]}
         )
-        ma, mb = a.to_matrix(rep), b.to_matrix(rep)
-        assert np.allclose((a * b).to_matrix(rep), ma @ mb, atol=1e-12)
-        assert np.allclose((a + b).to_matrix(rep), ma + mb, atol=1e-12)
-        assert np.allclose((a - 2.5 * b).to_matrix(rep), ma - 2.5 * mb, atol=1e-12)
+        ma, mb = a.to_matrix(), b.to_matrix()
+        assert np.allclose((a * b).to_matrix(), ma @ mb, atol=1e-12)
+        assert np.allclose((a + b).to_matrix(), ma + mb, atol=1e-12)
+        assert np.allclose((a - 2.5 * b).to_matrix(), ma - 2.5 * mb, atol=1e-12)
 
 
 def test_monomial_ordering_rules():
@@ -254,3 +286,71 @@ def test_random_even_element_support_and_determinism():
     assert a.support() <= negative_half(n)
     pos = random_even_element(np.random.default_rng(5), n, side="positive")
     assert pos.support() <= {5, 6, 7, 8}
+    with pytest.raises(InvalidSpecError):
+        random_even_element(np.random.default_rng(5), 4, side="positve")
+
+
+def test_generator_strings_are_exact_majoranas():
+    # integer string algebra only: {c_j, c_k} = 2 delta_jk, c_j Hermitian
+    one = PauliString(0, 0)
+    for n in range(2, 17, 2):
+        strings = fock_majoranas(n).strings
+        assert len(strings) == n
+        for k, c in enumerate(strings):
+            assert c * c == one
+            assert c.dagger() == c
+            for d in strings[:k]:
+                cd, dc = c * d, d * c
+                assert not c.commutes_with(d)
+                assert (cd.x_mask, cd.z_mask) == (dc.x_mask, dc.z_mask)
+                assert cd.phase_pow == (dc.phase_pow + 2) % 4
+
+
+def test_generator_matrices_match_product_states_bytewise():
+    for n in range(2, 17, 2):
+        want = _kron_majoranas(n)
+        got = fock_majoranas(n).matrices
+        assert [m.dtype for m in got] == [m.dtype for m in want]
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+        assert not any(m.flags.writeable for m in got)
+    with pytest.raises(ValueError):
+        fock_majoranas(4).matrices[0][0, 0] = 5.0
+
+
+def test_to_matrix_matches_product_of_dense_generators_bytewise():
+    rng = np.random.default_rng(77)
+    checked = 0
+    for n in range(2, 13, 2):
+        theta = mirror_theta(n)
+        for _ in range(3):
+            b = random_even_element(rng, n)
+            h = quadratic(n, {(i, j): float(rng.uniform(-1, 1))
+                              for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                              if rng.random() < 0.6})
+            for poly in (b, h, b * reflect(b, theta)):
+                got, want = poly.to_matrix(), _kron_matrix(poly)
+                assert got.dtype == want.dtype == np.complex128
+                assert got.tobytes() == want.tobytes()
+                checked += 1
+    assert checked == 54
+
+
+def test_gibbs_state_is_memoized_per_exact_hamiltonian():
+    n = 6
+    theta = mirror_theta(n)
+    weights = {(1, 2): 0.3, (2, 3): -0.4, (4, 5): -0.4, (5, 6): 0.3, (1, 6): 0.9,
+               (2, 5): 1.1, (3, 4): 0.8}
+    h = quadratic(n, weights)
+    h2 = quadratic(n, {**weights, (3, 4): 0.8 + 2 ** -40})  # one coefficient differs
+    b = random_even_element(np.random.default_rng(3), n)
+    refl = reflect(b, theta)
+    for ham in (h, h2):
+        w, v = np.linalg.eigh(ham.to_matrix())
+        direct = (v * np.exp(-0.7 * w)) @ v.conj().T
+        want = np.trace(b.to_matrix() @ refl.to_matrix() @ direct).real
+        assert rp_functional(b, ham, theta, beta=0.7) == want
+        state = rp._gibbs(ham, 0.7)
+        assert state.tobytes() == direct.tobytes()
+        assert not state.flags.writeable
+        assert rp._gibbs(ham, 0.7) is state
+    assert rp._gibbs(h, 0.7) is not rp._gibbs(h2, 0.7)
