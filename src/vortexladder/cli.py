@@ -268,53 +268,58 @@ def _symmetric_cases(ladder: Ladder, couplings: freefermion.CouplingConfig) -> l
     return holds
 
 
+def _cycle_value_columns(n: int) -> list[str]:
+    """CSV text of the n cycle values (",1" or ",-1" each) of every sector
+    id, indexed by id; the first cycle is the most significant bit."""
+    texts = [""]
+    for _ in range(n):
+        texts = [t + v for t in texts for v in (",1", ",-1")]
+    return texts
+
+
 def cmd_sweep(conf: Conf, args) -> str:
     ladder = _config_ladder(conf)
     couplings = _config_couplings(conf, ladder)
     threads = _resolve_threads(args, conf)
     result = freefermion.sector_sweep(ladder, couplings, threads=threads)
-    e_min = result.argmin.energy
-    tie_ids = [
-        row.sector.sector_id
-        for row in result.rows
-        if abs(row.energy - e_min) <= 1e-12 * max(1.0, abs(e_min))
-    ]
-    ties = set(tie_ids)
+    ids, energies = result.sector_ids, result.energies
+    e_min = energies[0]
+    ties = np.abs(energies - e_min) <= 1e-12 * max(1.0, abs(e_min))
+    tie_ids = ids[ties].tolist()
+    argmin_id = result.argmin.sector.sector_id
     cases = _symmetric_cases(ladder, couplings)
     names = list(ladder.cycle_names)
 
     if args.format == "json":
+        shifts = range(len(names) - 1, -1, -1)
         return _json_text({
             "cycles": names,
             "rows": [
                 {
-                    "sector_id": row.sector.sector_id,
-                    "values": {k: int(v) for k, v in row.sector.values.items()},
-                    "ground_energy": row.energy,
+                    "sector_id": sid,
+                    "values": {k: -1 if (sid >> b) & 1 else 1 for k, b in zip(names, shifts)},
+                    "ground_energy": energy,
                 }
-                for row in result.rows
+                for sid, energy in zip(ids.tolist(), energies.tolist())
             ],
-            "argmin_sector": result.argmin.sector.sector_id,
+            "argmin_sector": argmin_id,
             "tie_sector_ids": tie_ids,
             "reflection_symmetric_cases": cases,
         })
 
-    header = ["sector_id", *names, "ground_energy", "is_argmin"]
-    rows = [
-        [
-            str(row.sector.sector_id),
-            *(str(row.sector.values[n]) for n in names),
-            _g17(row.energy),
-            "1" if row.sector.sector_id in ties else "0",
-        ]
-        for row in result.rows
-    ]
-    footer = [
-        f"# argmin_sector,{result.argmin.sector.sector_id}",
+    values = _cycle_value_columns(len(names))
+    flags = np.where(ties, ",1", ",0").tolist()
+    lines = [",".join(["sector_id", *names, "ground_energy", "is_argmin"])]
+    lines.extend(
+        f"{sid}{values[sid]},{_g17(energy)}{flag}"
+        for sid, energy, flag in zip(ids.tolist(), energies.tolist(), flags)
+    )
+    lines += [
+        f"# argmin_sector,{argmin_id}",
         f"# tie_count,{len(tie_ids)}",
         "# reflection_symmetric_cases," + "|".join(cases),
     ]
-    return _csv_text(header, rows, footer)
+    return "\n".join(lines) + "\n"
 
 
 def _bl_summary(cells: list[int], gaps: list[float]) -> dict:

@@ -2,9 +2,18 @@
 
 For bond couplings J and bond signs u, the quadratic Hamiltonian is encoded
 by the real antisymmetric matrix A with A[i,j] = J_(ij) u(i->j) on bonds
-(sites 1..4N map to rows 0..4N-1).  Its one-particle modes eps_k >= 0 are
-the singular values of A, which come in equal pairs; the many-body levels
-are all sums sum_k (+-eps_k), the ground energy is -sum_k eps_k.
+(sites 1..4N map to rows 0..4N-1).  The ladder is bipartite: every bond
+joins an odd site to an even one, so A couples rows 0::2 only to rows 1::2
+and is fixed by its 2N x 2N odd-to-even block M = A[0::2, 1::2].  The
+one-particle modes eps_k >= 0 are the singular values of M (Kitaev,
+cond-mat/0506438); the many-body levels are all sums sum_k (+-eps_k), the
+ground energy is -sum_k eps_k, summed in twice the working precision.  Every
+vortex-sector solve is one SVD of its M, batched over sectors in sweeps.
+Since the block structure is exact, sector solves have no check that
+singular values pair up; a sweep checks once per ladder that the
+same-parity blocks are exactly zero.  ``mode_spectrum`` keeps a general
+path for other antisymmetric matrices (every other singular value of A,
+with a pairing check).
 
 The per-sector spectra here are the unconstrained ones: no fermion-parity
 restriction is applied when expanding {+-eps_k} sums.  Comparisons against
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -102,26 +112,55 @@ def _check_skew(a: np.ndarray) -> float:
     return scale
 
 
-def _mode_energies(stack: np.ndarray, scale: float) -> np.ndarray:
-    """One-particle energies of each checked skew matrix in an (..., n, n)
-    stack whose entries all have scale ``scale``: every other singular value,
-    descending.  The two values of each pair must agree within PAIR_TOL *
-    max(eps, 1) and within 1e-10 * scale."""
-    s = np.linalg.svd(stack, compute_uv=False)  # descending
-    eps = s[..., 0::2]
-    mismatch = np.abs(eps - s[..., 1::2])
-    if np.any(mismatch > PAIR_TOL * np.maximum(eps, 1.0)) or np.any(mismatch > 1e-10 * scale):
-        raise MalformedMatrixError("singular values do not pair within tolerance")
-    return eps
+def _is_bipartite(a: np.ndarray) -> bool:
+    """Whether ``a`` couples even rows only to odd rows, as every ladder
+    matrix does (each bond joins an odd site to an even one)."""
+    return not (a[0::2, 0::2].any() or a[1::2, 1::2].any())
+
+
+def _singular_values(stack: np.ndarray) -> np.ndarray:
+    """Singular values of each matrix in an (..., m, m) stack, descending.
+    For the odd-to-even blocks M of ladder matrices these are the
+    one-particle energies; every sector solve goes through here."""
+    return np.linalg.svd(stack, compute_uv=False)
 
 
 def mode_spectrum(skew: SkewAdjacency) -> ModeSpectrum:
+    """One-particle energies of a skew matrix, descending.  A ladder matrix
+    gives the singular values of its odd-to-even block; any other gives
+    every other singular value of the whole matrix, whose two values of each
+    pair must agree within PAIR_TOL * max(eps, 1) and 1e-10 * entry scale."""
     a = np.asarray(skew.matrix, dtype=float)
-    return ModeSpectrum(_mode_energies(a, _check_skew(a)))
+    scale = _check_skew(a)
+    if _is_bipartite(a):
+        return ModeSpectrum(_singular_values(a[0::2, 1::2]))
+    s = _singular_values(a)
+    eps = s[0::2]
+    mismatch = np.abs(eps - s[1::2])
+    if np.any(mismatch > PAIR_TOL * np.maximum(eps, 1.0)) or np.any(mismatch > 1e-10 * scale):
+        raise MalformedMatrixError("singular values do not pair within tolerance")
+    return ModeSpectrum(eps)
+
+
+def _mode_sum(eps: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, as accurate as a sum in twice the working
+    precision and then rounded (Sum2 of Ogita, Rump and Oishi, 2005: each
+    addition's rounding error is recovered exactly and added at the end).
+    The singular values of M carry errors near 1e-16 * eps_max, so a plain
+    running sum's rounding would dominate a ground energy's error, and with
+    it the error of a gap between two sectors."""
+    total = np.zeros(eps.shape[:-1])
+    error = np.zeros(eps.shape[:-1])
+    for x in np.moveaxis(eps, -1, 0):
+        new = total + x
+        part = new - total
+        error += (total - (new - part)) + (x - part)
+        total = new
+    return total + error
 
 
 def ground_energy(modes: ModeSpectrum) -> float:
-    return -float(modes.eps.sum())
+    return -float(_mode_sum(modes.eps))
 
 
 def many_body_spectrum(modes: ModeSpectrum, guard: int = MAX_EXPANSION_MODES) -> np.ndarray:
@@ -152,19 +191,56 @@ class SweepRow:
     energy: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    rows: tuple[SweepRow, ...]  # sorted by (energy, sector id)
+    """Ground energy of every vortex sector of ``ladder``, kept as two
+    columns ordered by (energy, sector id).  Rows are made on demand."""
 
-    @property
+    ladder: Ladder
+    sector_ids: np.ndarray  # int64
+    energies: np.ndarray  # float64
+
+    @cached_property
     def argmin(self) -> SweepRow:
-        return self.rows[0]
+        return SweepRow(gauge_mod.sector_from_id(self.ladder, int(self.sector_ids[0])),
+                        float(self.energies[0]))
+
+    @cached_property
+    def rows(self) -> Sequence[SweepRow]:
+        """Every row in order, ``rows[0]`` being ``argmin``."""
+        return _SweepRows(self)
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        """Row index of each sector id (the inverse of ``sector_ids``)."""
+        positions = np.empty_like(self.sector_ids)
+        positions[self.sector_ids] = np.arange(len(positions))
+        return positions
 
     def row_for(self, sid: int) -> SweepRow:
-        for row in self.rows:
-            if row.sector.sector_id == sid:
-                return row
-        raise KeyError(sid)
+        if not isinstance(sid, (int, np.integer)) or not 0 <= sid < len(self.sector_ids):
+            raise KeyError(sid)
+        return self.rows[int(self._positions[sid])]
+
+
+class _SweepRows(Sequence[SweepRow]):
+    """Read-only row view of a ``SweepResult``; each row is built on access."""
+
+    def __init__(self, result: SweepResult):
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result.sector_ids)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        k = range(len(self))[k]  # IndexError outside, negative k from the end
+        if k == 0:
+            return self._result.argmin
+        result = self._result
+        return SweepRow(gauge_mod.sector_from_id(result.ladder, int(result.sector_ids[k])),
+                        float(result.energies[k]))
 
 
 def _map_sectors(
@@ -176,27 +252,30 @@ def _map_sectors(
     chunk: int = 4096,
 ) -> list:
     """``reduce`` of the (len, 2N) mode energies of each chunk of sector ids,
-    in ascending id order.  A sector's matrix is the all-(+1) one with the
-    co-tree bonds of its ``gauge_for_sector`` gauge negated at (i, j) and
-    (j, i), so the structure check on the all-(+1) matrix holds for all."""
+    in ascending id order.  A sector's block M is the all-(+1) one with the
+    entry of each co-tree bond that its ``gauge_for_sector`` gauge flips
+    negated; the structure check on the all-(+1) matrix holds for all."""
     couplings.validate_for(ladder)
     n = len(ladder.cycle_names)
     if n > guard:
         raise GuardExceededError(f"2^{n} sectors exceeds the sweep guard ({guard})")
+    a0 = assemble_skew(ladder, couplings, GaugeConfig.all_plus(ladder)).matrix
+    if not _is_bipartite(a0):
+        raise MalformedMatrixError("a bond joins two sites of the same parity")
+    m0 = a0[0::2, 1::2]
     cotree, (x0, *units) = gauge_mod.cotree_flips(ladder, [0, *(1 << b for b in range(n))])
     toggles = np.array([x ^ x0 for x in units], dtype=np.int64)  # flips toggled by sid bit b
-    a0 = assemble_skew(ladder, couplings, GaugeConfig.all_plus(ladder)).matrix
-    scale = _check_skew(a0)
+    # entry of M holding each co-tree bond: row of its odd site, column of its even one
+    entries = [((i - 1) // 2, (j - 1) // 2) if i % 2 else ((j - 1) // 2, (i - 1) // 2)
+               for i, j in cotree]
 
     def run_chunk(lo: int):
         sids = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.int64)
         xs = np.bitwise_xor.reduce(((sids[:, None] >> np.arange(n)) & 1) * toggles, axis=1) ^ x0
-        stack = np.broadcast_to(a0, (len(sids),) + a0.shape).copy()
-        for c, (i, j) in enumerate(cotree):
-            hit = ((xs >> c) & 1) == 1
-            stack[hit, i - 1, j - 1] *= -1.0
-            stack[hit, j - 1, i - 1] *= -1.0
-        return reduce(_mode_energies(stack, scale))
+        stack = np.broadcast_to(m0, (len(sids),) + m0.shape).copy()
+        for c, (r, k) in enumerate(entries):
+            stack[((xs >> c) & 1) == 1, r, k] *= -1.0
+        return reduce(_singular_values(stack))
 
     starts = range(0, 1 << n, chunk)
     if threads is not None and threads > 1 and len(starts) > 1:
@@ -214,13 +293,9 @@ def sector_sweep(
 ) -> SweepResult:
     """Ground energy of every vortex sector, sorted by (energy, sector id)."""
     energies = np.concatenate(
-        _map_sectors(ladder, couplings, guard, lambda eps: -eps.sum(axis=1), threads, chunk))
-    order = np.lexsort((np.arange(len(energies)), energies))
-    rows = tuple(
-        SweepRow(gauge_mod.sector_from_id(ladder, int(sid)), float(energies[sid]))
-        for sid in order
-    )
-    return SweepResult(rows)
+        _map_sectors(ladder, couplings, guard, lambda eps: -_mode_sum(eps), threads, chunk))
+    order = np.argsort(energies, kind="stable")  # ties stay in ascending id order
+    return SweepResult(ladder, order, energies[order])
 
 
 def sector_union_spectrum(

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import (
     ConvergenceError,
@@ -312,6 +310,8 @@ def dense_lowest(h: SpinOperator, k: int, guard: int = MAX_DENSE_SPINS) -> Spect
         raise GuardExceededError(f"k={k} must be >= 1")
     if not h.is_hermitian(tol=0.0):
         raise MalformedMatrixError("operator is not Hermitian")
+    import scipy.linalg  # imported here: scipy costs every other CLI process ~0.4 s
+
     mat = h.to_dense(guard=guard)
     k = min(k, mat.shape[0])
     w, v = scipy.linalg.eigh(mat, subset_by_index=(0, k - 1))
@@ -335,6 +335,8 @@ def lowest_eigenvalues(h: SpinOperator, k: int, seed: int) -> SpectrumReport:
         rep.vectors = rep.vectors[:, :k]
         rep.residuals = np.zeros(len(rep.eigenvalues))
         return rep
+    import scipy.sparse.linalg  # imported here, as in dense_lowest
+
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(dim)
     linop = scipy.sparse.linalg.LinearOperator(

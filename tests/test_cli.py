@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from vortexladder import cli
+from vortexladder import cli, freefermion
 from vortexladder.errors import ConvergenceError
 from vortexladder.lattice import build_ladder
 
@@ -136,6 +137,79 @@ def test_sweep_all_zero_couplings_ties_every_sector(tmp_path):
     rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
     assert len(rows) == 32 and all(row[-1] == "1" for row in rows)
     assert "# tie_count,32" in lines
+
+
+def _row_sweep_text(result, ladder, couplings, fmt):
+    """The row-by-row sweep formatter that the columnar one replaced."""
+    e_min = result.argmin.energy
+    tie_ids = [
+        row.sector.sector_id
+        for row in result.rows
+        if abs(row.energy - e_min) <= 1e-12 * max(1.0, abs(e_min))
+    ]
+    ties = set(tie_ids)
+    cases = cli._symmetric_cases(ladder, couplings)
+    names = list(ladder.cycle_names)
+    if fmt == "json":
+        return cli._json_text({
+            "cycles": names,
+            "rows": [
+                {
+                    "sector_id": row.sector.sector_id,
+                    "values": {k: int(v) for k, v in row.sector.values.items()},
+                    "ground_energy": row.energy,
+                }
+                for row in result.rows
+            ],
+            "argmin_sector": result.argmin.sector.sector_id,
+            "tie_sector_ids": tie_ids,
+            "reflection_symmetric_cases": cases,
+        })
+    header = ["sector_id", *names, "ground_energy", "is_argmin"]
+    rows = [
+        [
+            str(row.sector.sector_id),
+            *(str(row.sector.values[n]) for n in names),
+            cli._g17(row.energy),
+            "1" if row.sector.sector_id in ties else "0",
+        ]
+        for row in result.rows
+    ]
+    footer = [
+        f"# argmin_sector,{result.argmin.sector.sector_id}",
+        f"# tie_count,{len(tie_ids)}",
+        "# reflection_symmetric_cases," + "|".join(cases),
+    ]
+    return cli._csv_text(header, rows, footer)
+
+
+@pytest.mark.parametrize("case", ["signed", "one-zero-bond", "all-zero"])
+def test_sweep_columns_format_like_rows(tmp_path, monkeypatch, case):
+    ladder = build_ladder(3, "closed")
+    rng = np.random.default_rng(61)
+    bonds = {f"{b.i}-{b.j}": float(rng.uniform(-1.5, 1.5)) for b in ladder.bonds}
+    if case == "one-zero-bond":  # each sector ties with the one that flips u on it
+        bonds["2-3"] = 0.0
+    elif case == "all-zero":
+        bonds = dict.fromkeys(bonds, 0.0)
+    cfg = write_config(tmp_path, {"ladder": {"cells": 3, "boundary": "closed"},
+                                  "couplings": {"bonds": bonds}})
+    calls = []
+    sweep = freefermion.sector_sweep
+
+    def recording_sweep(*args, **kwargs):
+        calls.append((args, sweep(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(freefermion, "sector_sweep", recording_sweep)
+    ties = {"signed": 1, "one-zero-bond": 2, "all-zero": 128}[case]
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"sweep.{fmt}"
+        assert cli.main(["sweep", "--config", cfg, "--format", fmt, "--out", str(out)]) == 0
+        ((lad, couplings), result), = calls
+        calls.clear()
+        assert out.read_text() == _row_sweep_text(result, lad, couplings, fmt)
+    assert len(json.loads(out.read_text())["tie_sector_ids"]) == ties
 
 
 def test_gap_scan_summary(tmp_path):
@@ -340,3 +414,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     ok = write_config(tmp_path, {"ladder": {"cells": 2}}, name="ok.json")
     assert cli.main(["compare", "--config", ok]) == 4
     assert "convergence failure" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, vortexladder.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 """Quadratic Majorana solver: skew assembly, mode pairing, sector sweeps."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from vortexladder.freefermion import (
     twisted_wrap_gap,
 )
 from vortexladder.gauge import GaugeConfig, enumerate_sectors, gauge_for_sector, sector_from_id
-from vortexladder.lattice import BondType, build_ladder
+from vortexladder.lattice import Bond, BondType, Ladder, build_ladder
 from vortexladder.presets import make_couplings
 
 
@@ -83,6 +84,15 @@ def test_ground_energy_is_minus_mode_sum():
     cc = CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3)
     ms = mode_spectrum(assemble_skew(lad, cc, GaugeConfig.all_plus(lad)))
     assert ground_energy(ms) == pytest.approx(-float(np.sum(ms.eps)), abs=1e-14)
+    # summed in twice the working precision: a running sum drops every 2^-53
+    tiny = ModeSpectrum(np.array([1.0] + [2.0**-53] * 6))
+    assert sum(tiny.eps.tolist()) == float(np.sum(tiny.eps)) == 1.0
+    assert ground_energy(tiny) == -(1.0 + 3 * 2.0**-52) == -math.fsum(tiny.eps)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        eps = np.sort(rng.uniform(0.0, 3.0, 16) ** 4)[::-1]
+        exact = math.fsum(eps)
+        assert abs(-ground_energy(ModeSpectrum(eps)) - exact) <= np.spacing(exact)
 
 
 def test_many_body_spectrum_is_all_sign_choices():
@@ -102,16 +112,25 @@ def test_sector_sweep_agrees_with_per_sector_solves():
     lad = build_ladder(2, "closed")
     cc = random_couplings(lad, rng)
     sweep = sector_sweep(lad, cc)
+    direct = {sec.sector_id: sector_ground_energy(lad, cc, sec) for sec in enumerate_sectors(lad)}
+    # materialized reference: one row per sector, sorted by (energy, sector id)
+    want = sorted((e, sid) for sid, e in direct.items())
     assert len(sweep.rows) == 32
-    assert {r.sector.sector_id for r in sweep.rows} == set(range(32))
-    keys = [(r.energy, r.sector.sector_id) for r in sweep.rows]
-    assert keys == sorted(keys)  # rows ordered by (energy, sector id)
-    for sec in enumerate_sectors(lad):
-        direct = sector_ground_energy(lad, cc, sec)
-        assert sweep.row_for(sec.sector_id).energy == pytest.approx(direct, abs=1e-10)
-    assert sweep.argmin is sweep.rows[0]
-    with pytest.raises(KeyError):
-        sweep.row_for(99)
+    assert [(r.energy, r.sector.sector_id) for r in sweep.rows] == want
+    assert list(zip(sweep.energies.tolist(), sweep.sector_ids.tolist())) == want
+    for row in sweep.rows:
+        assert row.sector == sector_from_id(lad, row.sector.sector_id)
+    for sid, energy in direct.items():
+        row = sweep.row_for(sid)
+        assert row.sector.sector_id == sid and row.energy == energy  # same kernel, same bits
+    assert sweep.argmin is sweep.rows[0] is sweep.row_for(want[0][1])
+    assert sweep.rows[-1].sector.sector_id == want[-1][1]
+    assert [r.sector.sector_id for r in sweep.rows[1:4]] == [sid for _, sid in want[1:4]]
+    with pytest.raises(IndexError):
+        sweep.rows[32]
+    for bad in (99, 32, -1, 1.5, "3"):
+        with pytest.raises(KeyError):
+            sweep.row_for(bad)
 
 
 def test_sector_sweep_threading_is_deterministic():
@@ -148,7 +167,50 @@ def test_batched_sector_gauges_match_gauge_for_sector(monkeypatch):
         assert len(stack) == 1 << len(lad.cycle_names)
         for sid, matrix in enumerate(stack):
             g = gauge_for_sector(lad, sector_from_id(lad, sid))
-            assert np.array_equal(matrix, assemble_skew(lad, cc, g).matrix), (n, bnd, sid)
+            block = assemble_skew(lad, cc, g).matrix[0::2, 1::2]
+            assert np.array_equal(matrix, block), (n, bnd, sid)
+
+
+def test_every_ladder_bond_joins_an_odd_and_an_even_site():
+    for n, bnd in itertools.product(range(2, 21), ("open", "closed")):
+        assert all((b.i + b.j) % 2 == 1 for b in build_ladder(n, bnd).bonds), (n, bnd)
+
+
+def test_structure_check_trips_before_any_solve(monkeypatch):
+    lad = build_ladder(2, "open")
+    bonds = tuple(sorted(lad.bonds + (Bond(1, 3, BondType.X),)))  # two odd sites
+    bad = Ladder(lad.n_cells, lad.boundary, bonds, lad.cycles)
+    cc = CouplingConfig({b.pair: 1.0 for b in bonds})
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a sector was solved before the structure check")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for solve in (sector_sweep, sector_union_spectrum):
+        with pytest.raises(MalformedMatrixError, match="same parity"):
+            solve(bad, cc)
+
+
+def test_block_energies_match_full_matrix_spectrum():
+    rng = np.random.default_rng(31)
+    for n, bnd in itertools.product((2, 3, 4), ("open", "closed")):
+        lad = build_ladder(n, bnd)
+        cc = random_couplings(lad, rng, lo=-2.0, hi=2.0)
+        sweep = sector_sweep(lad, cc)
+        union = sector_union_spectrum(lad, cc)
+        levels = []
+        for sec in enumerate_sectors(lad):
+            skew = assemble_skew(lad, cc, gauge_for_sector(lad, sec))
+            full = np.linalg.svd(skew.matrix, compute_uv=False)[0::2]  # the whole 4N x 4N A
+            eps = mode_spectrum(skew).eps
+            assert eps.shape == full.shape
+            assert np.allclose(eps, full, rtol=0, atol=1e-13 * full[0]), (n, bnd, sec)
+            energy = sweep.row_for(sec.sector_id).energy
+            assert energy == pytest.approx(-full.sum(), rel=1e-13, abs=0)
+            levels.append(many_body_spectrum(ModeSpectrum(full)))
+        want = np.sort(np.concatenate(levels))
+        assert union.shape == want.shape
+        assert np.abs(union - want).max() <= 1e-12 * np.abs(want).max(), (n, bnd)
 
 
 def test_sweep_guard_on_wide_ladders():
