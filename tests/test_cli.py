@@ -422,3 +422,13 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_open_compare_loads_no_scipy(tmp_path):
+    cfg = write_config(tmp_path, {"ladder": {"cells": 2, "boundary": "open"}, "couplings": HOMOG})
+    code = ("import sys; from vortexladder import cli; "
+            f"code = cli.main(['compare', '--config', {cfg!r}, '--out', {str(tmp_path / 'c.json')!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"

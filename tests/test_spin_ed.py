@@ -1,10 +1,14 @@
 """Exact Pauli-string algebra and spin exact diagonalization."""
 
+import subprocess
+import sys
 from functools import reduce
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from vortexladder import spin_ed
 from vortexladder.errors import GuardExceededError, InvalidSpecError, LabelingError
 from vortexladder.freefermion import (
     CouplingConfig,
@@ -385,3 +389,158 @@ def test_operator_misc_and_guards():
     vec[0] = 1.0  # |00>: z1 = +1
     assert h.expectation(vec) == pytest.approx(2.0)
     assert not (1.0j * h).is_hermitian()
+
+
+# ---------------------------------------------------------------------------
+# the compiled operator against the term loop it replaced
+
+class TermLoop:
+    """Oracle: one NumPy gather-and-add pass per term, in ``op.terms`` order.
+
+    With ``plain_products`` a complex coefficient times a complex entry is
+    written out as (ac - bd) + i(ad + bc) in real arithmetic, one rounding per
+    product and per sum; NumPy's own complex multiply may fuse that
+    multiply-add on CPUs with FMA.
+    """
+
+    def __init__(self, op, plain_products=False):
+        self.dim = op.dim
+        self.dtype = np.float64 if op.is_real else np.complex128
+        self.plain = plain_products
+        cols = np.arange(self.dim, dtype=np.int64)
+        sign_cache = {}
+        self.terms = []
+        for (x, z), c in op.terms.items():
+            if z not in sign_cache:
+                sign_cache[z] = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1).astype(np.float64)
+            cc = complex(c) * (-1.0 if (z & x).bit_count() & 1 else 1.0)
+            self.terms.append((cols ^ x, sign_cache[z], cc if self.dtype == np.complex128 else cc.real))
+
+    def _product(self, c, w):
+        if self.plain and isinstance(c, complex) and np.iscomplexobj(w):
+            return (c.real * w.real - c.imag * w.imag) + 1j * (c.real * w.imag + c.imag * w.real)
+        return c * w
+
+    def matvec(self, psi):
+        psi = np.asarray(psi)
+        out = np.zeros(self.dim, dtype=np.result_type(self.dtype, psi.dtype))
+        for idx, signs, c in self.terms:
+            out += self._product(c, signs * psi[idx])
+        return out
+
+    def matmat(self, block):
+        out = np.zeros(block.shape, dtype=np.result_type(self.dtype, block.dtype))
+        for idx, signs, c in self.terms:
+            out += self._product(c, signs[:, None] * block[idx, :])
+        return out
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _random_pauli_sum(n, rng, complex_coefficients):
+    """4n random strings over three x masks (repeated columns), any z (Y terms)."""
+    op = SpinOperator(n)
+    xs = rng.integers(0, 1 << n, size=3)
+    for _ in range(4 * n):
+        c = rng.standard_normal() + (1j * rng.standard_normal() if complex_coefficients else 0.0)
+        op._accumulate((int(rng.choice(xs)), int(rng.integers(1 << n))), c)
+    return op
+
+
+@pytest.mark.parametrize("complex_op", [False, True], ids=["real-op", "complex-op"])
+def test_compiled_operator_is_the_term_loop_bit_for_bit(complex_op):
+    rng = np.random.default_rng(17 + complex_op)
+    for n in range(1, 13):
+        op = _random_pauli_sum(n, rng, complex_op)
+        assert op.is_real != complex_op
+        assert any(x & z for x, z in op.terms)  # Y factors present
+        applier = op.compiled()
+        loop = TermLoop(op, plain_products=True)  # the verbatim loop unless both are complex
+        for complex_in in (False, True):
+            for cols in (None, 1, 5, 128):
+                shape = (op.dim,) if cols is None else (op.dim, cols)
+                v = rng.standard_normal(shape)
+                if complex_in:
+                    v = v + 1j * rng.standard_normal(shape)
+                got = applier.matvec(v) if cols is None else applier.matmat(v)
+                want = loop.matvec(v) if cols is None else loop.matmat(v)
+                assert _same_bits(got, want), (n, complex_in, cols)
+
+
+def test_compiled_zero_and_identity():
+    v = np.random.default_rng(5).standard_normal((64, 5))
+    zero = SpinOperator(6).compiled()
+    assert _same_bits(zero.matvec(v[:, 0]), np.zeros(64))
+    assert _same_bits(zero.matmat(v), np.zeros((64, 5)))
+    ident = SpinOperator(6).add_string(PauliString(0, 0)).compiled()
+    assert _same_bits(ident.matvec(v[:, 0]), v[:, 0])
+    assert _same_bits(ident.matmat(v), v)
+
+
+@pytest.mark.parametrize("boundary", ["open", "closed"])
+def test_lowest_eigenvalues_bit_identical_to_term_loop_lanczos(boundary):
+    lad = build_ladder(3, boundary)
+    h = build_spin_hamiltonian(lad, _random_signed(lad, np.random.default_rng(7)))
+    rep = lowest_eigenvalues(h, k=3, seed=29)
+    v0 = np.random.default_rng(29).standard_normal(h.dim)
+    linop = scipy.sparse.linalg.LinearOperator(
+        (h.dim, h.dim), matvec=TermLoop(h).matvec, dtype=np.float64
+    )
+    w, v = scipy.sparse.linalg.eigsh(linop, k=3, which="SA", v0=v0)
+    order = np.argsort(w)
+    assert _same_bits(rep.eigenvalues, w[order])
+    assert _same_bits(rep.vectors, v[:, order])
+
+
+def test_compiled_indices_are_int32_at_16_spins():
+    lad = build_ladder(4, "closed")
+    h = build_spin_hamiltonian(lad, CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3))
+    mat = h.compiled()._matrix
+    assert mat.indices.dtype == np.int32 and mat.indptr.dtype == np.int32
+    assert mat.nnz == h.dim * len(h.terms)
+    assert mat.data.base is not None and mat.indices.base is not None  # views, no copies
+
+
+def test_compiled_guard_trips_before_allocation_or_scipy():
+    code = (
+        "import sys, tracemalloc\n"
+        "from vortexladder.errors import GuardExceededError\n"
+        "from vortexladder.spin_ed import SpinOperator\n"
+        "op = SpinOperator(21, {(1, 1 << 20): 1.0})\n"
+        "tracemalloc.start()\n"
+        "try:\n"
+        "    op.compiled()\n"
+        "except GuardExceededError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no guard')\n"
+        "print(tracemalloc.get_traced_memory()[1],"
+        " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    peak, scipy_modules = proc.stdout.split(maxsplit=1)
+    assert int(peak) < 1 << 20  # a 2^21-row array would be 16 MB
+    assert scipy_modules.strip() == "[]"
+
+
+def test_lanczos_runs_through_the_instance_matvec(monkeypatch):
+    """Per-layer benchmarks count Lanczos matvecs by wrapping the ``matvec``
+    of the compiled instance; eigsh must be driven through it."""
+    lad = build_ladder(2, "closed")
+    h = build_spin_hamiltonian(lad, CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3))
+    want = lowest_eigenvalues(h, k=1, seed=3).eigenvalues
+    applier = h.compiled()
+    matvec, calls = applier.matvec, []
+
+    def counted(psi):
+        calls.append(1)
+        return matvec(psi)
+
+    applier.matvec = counted
+    monkeypatch.setattr(spin_ed.SpinOperator, "compiled", lambda self: applier)
+    got = lowest_eigenvalues(h, k=1, seed=3).eigenvalues
+    assert len(calls) > 0
+    assert _same_bits(got, want)
