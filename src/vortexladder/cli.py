@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import freefermion, gauge, perturbation, presets, rp, spin_ed
 from .errors import ConfigError, ConvergenceError, GuardExceededError
-from .lattice import Boundary, Ladder, ReflectionCase, build_ladder, reflection
+from .lattice import BondType, Boundary, Ladder, ReflectionCase, build_ladder, reflection
 
 _MISSING = object()
 
@@ -52,7 +53,13 @@ class Conf:
         if kind is float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"{path}: expected a number, got {value!r}")
-            return float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+            return value
         if kind is int:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{path}: expected an integer, got {value!r}")
@@ -92,7 +99,7 @@ def _load_config(path: str | None) -> Conf:
             doc = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("config: top level must be an object")
@@ -402,6 +409,9 @@ def cmd_compare(conf: Conf, args) -> str:
     ladder = _config_ladder(conf)
     couplings = _config_couplings(conf, ladder)
     tol = args.tolerance if args.tolerance is not None else conf.get("tol", float, 1e-8)
+    if not (math.isfinite(tol) and tol >= 0):
+        source = "--tolerance" if args.tolerance is not None else "config.tol"
+        raise ConfigError(f"{source}: must be finite and >= 0, got {tol!r}")
     doc: dict[str, Any] = {"boundary": ladder.boundary.value, "cells": ladder.n_cells,
                            "tol": tol}
 
@@ -445,35 +455,32 @@ def _config_split(conf: Conf, ladder: Ladder) -> perturbation.PerturbationSplit:
     guard = conf.get("ratio_guard", float, perturbation.RATIO_GUARD)
     try:
         if conf.has("t"):
-            return perturbation.PerturbationSplit.from_uniform(
+            split = perturbation.PerturbationSplit.from_uniform(
                 ladder, jx, conf.get("t", float), ratio_guard=guard
             )
-        jy_map: dict[tuple[int, int], float]
-        if conf.has("jy_bonds") or conf.has("jz_bonds"):
-            jy_map = _bond_map(conf.child("jy_bonds"))
-            jz_map = _bond_map(conf.child("jz_bonds"))
+        elif conf.has("jy_bonds") or conf.has("jz_bonds"):
+            split = perturbation.PerturbationSplit(
+                jx, _bond_map(conf.child("jy_bonds")), _bond_map(conf.child("jz_bonds")), guard
+            )
         else:
             jy = conf.get("jy", float)
             jz = conf.get("jz", float)
-            from .lattice import BondType
-
             jy_map = {b.pair: jy for b in ladder.bonds if b.kind is BondType.Y}
             jz_map = {b.pair: jz for b in ladder.bonds if b.kind is BondType.Z}
-        split = perturbation.PerturbationSplit(jx, jy_map, jz_map, guard)
+            split = perturbation.PerturbationSplit(jx, jy_map, jz_map, guard)
         split.validate_for(ladder)
-        return split
     except GuardExceededError:
         raise
     except ValueError as e:
         raise ConfigError(f"config: {e}") from e
+    return split
 
 
 def cmd_perturb(conf: Conf, args) -> str:
     ladder = _config_ladder(conf)
     split = _config_split(conf, ladder)
-    seed = _resolve_seed(args, conf)
     effective = perturbation.effective(ladder, split)
-    validation = perturbation.validate_against_ed(ladder, split, seed=seed)
+    validation = perturbation.validate_against_ed(ladder, split)
     scale = split.scale()
     rows_doc = [
         {

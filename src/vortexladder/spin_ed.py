@@ -203,9 +203,6 @@ class SpinOperator:
     def compiled(self) -> "_CompiledOperator":
         return _CompiledOperator(self)
 
-    def expectation(self, psi: np.ndarray) -> complex:
-        return complex(np.vdot(psi, self.compiled().matvec(psi)))
-
 
 class _CompiledOperator:
     """The operator as one CSR matrix whose rows keep the terms' order.

@@ -178,7 +178,7 @@ def test_criterion_5_third_order_gap_formulas_n3(capsys):
     dev: dict[float, dict[str, float]] = {}
     for t in ts:
         split = perturbation.PerturbationSplit.from_uniform(ladder, 1.0, t)
-        validation = perturbation.validate_against_ed(ladder, split, seed=505)
+        validation = perturbation.validate_against_ed(ladder, split)
         rel[t] = {r.plaquette: r.rel_err for r in validation.rows}
         exact[t] = {r.plaquette: r.delta_e_exact for r in validation.rows}
         dev[t] = {r.plaquette: r.delta_e_exact / r.delta_e_formula - 1.0 for r in validation.rows}

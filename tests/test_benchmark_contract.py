@@ -49,3 +49,16 @@ def test_traced_names_resolve_to_public_functions(bench):
             assert callable(vars(getattr(module, cls_name)).get(meth)), name
         else:
             assert spans._is_public_function(getattr(module, path, None), module), name
+
+
+def test_benchmark_jobs_parse_with_the_cli(bench):
+    # perfbench passes --seed and --threads to every command it runs
+    from vortexladder import cli
+
+    workloads = sys.modules["workloads"]
+    parser = cli.build_parser()
+    for workload in workloads.WORKLOADS:
+        for job in workloads.jobs(workload, 1, small=True):
+            assert job.command in cli._COMMANDS, job.name
+            args = parser.parse_args(job.cli_args("c.json", "o.json"))
+            assert (args.command, args.seed, args.threads) == (job.command, job.seed, job.threads)

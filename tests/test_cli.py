@@ -316,6 +316,14 @@ def test_perturb_csv_blank_cells_for_missing_formula(tmp_path):
     assert float(p6[2]) > 0 and float(p6[5]) == 0.05
 
 
+def test_perturb_needs_no_seed(tmp_path):
+    cfg = write_config(tmp_path, {"ladder": {"cells": 2, "boundary": "open"}, "jx": 1.0, "t": 0.04})
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(["perturb", "--config", cfg, "--out", str(a)]) == 0
+    assert cli.main(["perturb", "--config", cfg, "--seed", "7", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_rp_verify_modes(tmp_path):
     verify_cfg = write_config(
         tmp_path,
@@ -407,6 +415,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert cli.main(["gap-scan", "--config", write_config(tmp_path, doc)]) == 2
         assert f"config.{key}" in capsys.readouterr().err
 
+    # a uniform "t" is validated like "jy"/"jz": bad values are config errors
+    for split in ({"jx": 1.0, "t": -0.01}, {"jx": 0.0, "t": 0.01}, {"jx": 1.0, "t": float("nan")}):
+        doc = {"ladder": {"cells": 2}, "seed": 1, **split}
+        assert cli.main(["perturb", "--config", write_config(tmp_path, doc)]) == 2
+        assert "config" in capsys.readouterr().err
+
     def boom(conf, args):
         raise ConvergenceError("iteration stalled")
 
@@ -414,6 +428,42 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     ok = write_config(tmp_path, {"ladder": {"cells": 2}}, name="ok.json")
     assert cli.main(["compare", "--config", ok]) == 4
     assert "convergence failure" in capsys.readouterr().err
+
+
+NON_FINITE = {
+    "gap-scan-inf": ("gap-scan", '{"ladder": {"boundary": "closed"}, "cells_range": [4, Infinity], '
+                     '"couplings": {"preset": "decaying-top-closed"}}', []),
+    "gap-scan-nan": ("gap-scan", '{"ladder": {"boundary": "closed"}, "cells_range": [NaN, 5], '
+                     '"couplings": {"preset": "decaying-top-closed"}}', []),
+    "rp-nan": ("rp-verify", '{"majoranas": 4, "samples": 2, "seed": 1, "betas": [NaN]}', []),
+    "rp-inf": ("rp-verify", '{"majoranas": 4, "samples": 2, "seed": 1, "betas": [Infinity]}', []),
+    "rp-1e999": ("rp-verify", '{"majoranas": 4, "samples": 2, "seed": 1, "betas": [1e999]}', []),
+    "perturb-guard-nan": ("perturb", '{"ladder": {"cells": 2}, "seed": 1, "jx": 1.0, "t": 0.01, '
+                          '"ratio_guard": NaN}', []),
+    "perturb-huge-int": ("perturb", '{"ladder": {"cells": 2}, "seed": 1, "jx": 1' + "0" * 400
+                         + ', "t": 0.01}', []),
+    "perturb-digit-limit": ("perturb", '{"ladder": {"cells": 2}, "seed": 1, "jx": 1' + "0" * 5000
+                            + ', "t": 0.01}', []),
+    "compare-tol-nan": ("compare", '{"ladder": {"cells": 2}, "couplings": {"preset": "homogeneous-xyz"}, '
+                        '"tol": NaN}', []),
+    "compare-tol-negative": ("compare", '{"ladder": {"cells": 2}, "couplings": '
+                             '{"preset": "homogeneous-xyz"}, "tol": -1}', []),
+    "compare-flag-negative": ("compare", '{"ladder": {"cells": 2}, "couplings": '
+                              '{"preset": "homogeneous-xyz"}}', ["--tolerance", "-1"]),
+    "compare-flag-nan": ("compare", '{"ladder": {"cells": 2}, "couplings": '
+                         '{"preset": "homogeneous-xyz"}}', ["--tolerance", "nan"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_and_negative_values_are_config_errors(tmp_path, capsys, case):
+    command, text, flags = NON_FINITE[case]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -385,9 +385,6 @@ def test_operator_misc_and_guards():
         SpinOperator(2, {(4, 0): 1.0})  # mask beyond the site count
     h = SpinOperator(2).add_string(sigma("z", 1), 2.0).add_string(sigma("x", 2), -0.5)
     assert h.coefficient_norm() == pytest.approx(2.5)
-    vec = np.zeros(4)
-    vec[0] = 1.0  # |00>: z1 = +1
-    assert h.expectation(vec) == pytest.approx(2.0)
     assert not (1.0j * h).is_hermitian()
 
 
