@@ -366,6 +366,9 @@ def cmd_gap_scan(conf: Conf, args) -> str:
     patterns = conf.get("patterns", list, ["BL"])
     if not patterns or not all(isinstance(p, str) for p in patterns):
         raise ConfigError("config.patterns: expected a non-empty list of pattern strings")
+    repeated = sorted({p for p in patterns if patterns.count(p) > 1})
+    if repeated:
+        raise ConfigError(f"config.patterns: {', '.join(map(repr, repeated))} listed more than once")
 
     table: list[tuple[int, str, float]] = []
     by_pattern: dict[str, list[float]] = {p: [] for p in patterns}
@@ -469,7 +472,7 @@ def _config_split(conf: Conf, ladder: Ladder) -> perturbation.PerturbationSplit:
             jz_map = {b.pair: jz for b in ladder.bonds if b.kind is BondType.Z}
             split = perturbation.PerturbationSplit(jx, jy_map, jz_map, guard)
         split.validate_for(ladder)
-    except GuardExceededError:
+    except ConfigError:  # from conf.get: already names its path
         raise
     except ValueError as e:
         raise ConfigError(f"config: {e}") from e

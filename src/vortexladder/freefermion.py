@@ -8,12 +8,15 @@ and is fixed by its 2N x 2N odd-to-even block M = A[0::2, 1::2].  The
 one-particle modes eps_k >= 0 are the singular values of M (Kitaev,
 cond-mat/0506438); the many-body levels are all sums sum_k (+-eps_k), the
 ground energy is -sum_k eps_k, summed in twice the working precision.  Every
-vortex-sector solve is one SVD of its M, batched over sectors in sweeps.
-Since the block structure is exact, sector solves have no check that
-singular values pair up; a sweep checks once per ladder that the
-same-parity blocks are exactly zero.  ``mode_spectrum`` keeps a general
-path for other antisymmetric matrices (every other singular value of A,
-with a pairing check).
+vortex-sector solve is one SVD of its M.  Sweeps and ``big_loop_gap`` stack
+the blocks of many sectors of one ladder and take one batched SVD: each
+block is a reference block with the entry of every co-tree bond whose sign
+the sector's gauge flips negated, all flips coming from one GF(2)
+elimination.  Since the block structure is exact, sector solves have no
+check that singular values pair up; both check once per ladder, before any
+SVD, that the same-parity blocks are exactly zero.  ``mode_spectrum`` keeps
+a general path for other antisymmetric matrices (every other singular value
+of A, with a pairing check).
 
 The per-sector spectra here are the unconstrained ones: no fermion-parity
 restriction is applied when expanding {+-eps_k} sums.  Comparisons against
@@ -116,6 +119,29 @@ def _is_bipartite(a: np.ndarray) -> bool:
     """Whether ``a`` couples even rows only to odd rows, as every ladder
     matrix does (each bond joins an odd site to an even one)."""
     return not (a[0::2, 0::2].any() or a[1::2, 1::2].any())
+
+
+def _check_bipartite(couplings: CouplingConfig) -> None:
+    """MalformedMatrixError unless every nonzero coupling joins an odd site to
+    an even one, i.e. unless the same-parity blocks of every sector's A are
+    exactly zero (``build_ladder`` makes no other ladder)."""
+    if any((i - j) % 2 == 0 and J != 0.0 for (i, j), J in couplings.values.items()):
+        raise MalformedMatrixError("a bond joins two sites of the same parity")
+
+
+def _flipped_blocks(
+    m0: np.ndarray, cotree: Sequence[tuple[int, int]], flips: np.ndarray
+) -> np.ndarray:
+    """One copy of the block ``m0`` per row of the boolean (len, #co-tree)
+    array ``flips``, with the entry of co-tree bond c negated where column c
+    is set.  The entry holding a bond is the row of its odd site and the
+    column of its even one."""
+    stack = np.broadcast_to(m0, (len(flips),) + m0.shape).copy()
+    for c in np.flatnonzero(flips.any(axis=0)):
+        i, j = cotree[c]
+        r, k = ((i - 1) // 2, (j - 1) // 2) if i % 2 else ((j - 1) // 2, (i - 1) // 2)
+        stack[flips[:, c], r, k] *= -1.0
+    return stack
 
 
 def _singular_values(stack: np.ndarray) -> np.ndarray:
@@ -254,28 +280,22 @@ def _map_sectors(
     """``reduce`` of the (len, 2N) mode energies of each chunk of sector ids,
     in ascending id order.  A sector's block M is the all-(+1) one with the
     entry of each co-tree bond that its ``gauge_for_sector`` gauge flips
-    negated; the structure check on the all-(+1) matrix holds for all."""
+    negated."""
     couplings.validate_for(ladder)
     n = len(ladder.cycle_names)
     if n > guard:
         raise GuardExceededError(f"2^{n} sectors exceeds the sweep guard ({guard})")
-    a0 = assemble_skew(ladder, couplings, GaugeConfig.all_plus(ladder)).matrix
-    if not _is_bipartite(a0):
-        raise MalformedMatrixError("a bond joins two sites of the same parity")
-    m0 = a0[0::2, 1::2]
+    _check_bipartite(couplings)
+    m0 = assemble_skew(ladder, couplings, GaugeConfig.all_plus(ladder)).matrix[0::2, 1::2]
     cotree, (x0, *units) = gauge_mod.cotree_flips(ladder, [0, *(1 << b for b in range(n))])
     toggles = np.array([x ^ x0 for x in units], dtype=np.int64)  # flips toggled by sid bit b
-    # entry of M holding each co-tree bond: row of its odd site, column of its even one
-    entries = [((i - 1) // 2, (j - 1) // 2) if i % 2 else ((j - 1) // 2, (i - 1) // 2)
-               for i, j in cotree]
+    bonds = np.arange(len(cotree))
 
     def run_chunk(lo: int):
         sids = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.int64)
         xs = np.bitwise_xor.reduce(((sids[:, None] >> np.arange(n)) & 1) * toggles, axis=1) ^ x0
-        stack = np.broadcast_to(m0, (len(sids),) + m0.shape).copy()
-        for c, (r, k) in enumerate(entries):
-            stack[((xs >> c) & 1) == 1, r, k] *= -1.0
-        return reduce(_singular_values(stack))
+        flips = ((xs[:, None] >> bonds) & 1).astype(bool)
+        return reduce(_singular_values(_flipped_blocks(m0, cotree, flips)))
 
     starts = range(0, 1 << n, chunk)
     if threads is not None and threads > 1 and len(starts) > 1:
@@ -472,33 +492,59 @@ def big_loop_gap(
     couplings: CouplingConfig,
     patterns: Sequence[Mapping[str, int] | VortexSector | str],
 ) -> list[GapReport]:
-    """Excitation energy of each vortex pattern over the all-(+1) sector,
-    which is solved once for all of them.
+    """Excitation energy of each vortex pattern over the all-(+1) sector.
 
     A gap is the difference of the two sectors' ground energies, except for
     the big loop alone on a closed ladder: there ``twisted_wrap_gap`` is
     evaluated on the vortex-free gauge, and if it lies below the
     difference's noise floor ``|energy_free| * eps * 4N`` it is the gap and
     the big-loop sector is not solved (see ``GapReport``).
+
+    The vortex-free sector is solved once (``gauge_for_sector``,
+    ``assemble_skew``, ``mode_spectrum``).  Every pattern sector left to
+    solve gets its co-tree flips from one ``gauge.cotree_flips`` elimination
+    for all of them; its block M is the free one with the entry of each
+    co-tree bond the two gauges disagree on negated, and one stacked SVD
+    solves them all.  The same-parity check runs first, before any solve.
     """
-    free_gauge = gauge_mod.gauge_for_sector(ladder, pattern_sector(ladder, {}))
-    skew = assemble_skew(ladder, couplings, free_gauge)
+    _check_bipartite(couplings)
+    free = pattern_sector(ladder, {})
+    skew = assemble_skew(ladder, couplings, gauge_mod.gauge_for_sector(ladder, free))
     modes = mode_spectrum(skew)
     energy_free = ground_energy(modes)
     wrap_gap = None
-    reports = []
+    sectors, gaps = [], []  # gap None: the pattern's sector is solved below
     for sec in patterns:
         if isinstance(sec, str):
             sec = parse_pattern(ladder, sec)
         if not isinstance(sec, VortexSector):
             sec = pattern_sector(ladder, sec)
         flipped = {name for name, v in sec.values.items() if v == -1}
+        gap = None
         if ladder.boundary is Boundary.CLOSED and flipped == {"big"}:
             if wrap_gap is None:  # inf when a zero mode leaves the integral without a scale
                 wrap_gap = twisted_wrap_gap(skew, modes) if modes.eps[-1] > 0.0 else np.inf
             if abs(wrap_gap) <= abs(energy_free) * np.finfo(float).eps * ladder.n_sites:
-                reports.append(GapReport(sec, energy_free + wrap_gap, energy_free, wrap_gap))
-                continue
-        energy_pattern = sector_ground_energy(ladder, couplings, sec)
-        reports.append(GapReport(sec, energy_pattern, energy_free, energy_pattern - energy_free))
+                gap = wrap_gap
+        sectors.append(sec)
+        gaps.append(gap)
+
+    solve = [sec for sec, gap in zip(sectors, gaps) if gap is None]
+    if solve:
+        sids = [gauge_mod.sector_id(ladder, sec.values) for sec in solve]  # validates
+        cotree, (x_free, *xs) = gauge_mod.cotree_flips(ladder, [free.sector_id, *sids])
+        for sec, x in zip(solve, xs):
+            gauge_mod.gauge_from_flips(ladder, cotree, x, sec.values)
+        flips = np.array([[((x ^ x_free) >> c) & 1 for c in range(len(cotree))] for x in xs],
+                         dtype=bool)
+        eps = _singular_values(_flipped_blocks(skew.matrix[0::2, 1::2], cotree, flips))
+        energies = iter(-_mode_sum(eps))
+
+    reports = []
+    for sec, gap in zip(sectors, gaps):
+        if gap is None:
+            energy_pattern = float(next(energies))
+            reports.append(GapReport(sec, energy_pattern, energy_free, energy_pattern - energy_free))
+        else:
+            reports.append(GapReport(sec, energy_free + gap, energy_free, gap))
     return reports

@@ -233,6 +233,15 @@ def gauge_for_sector(ladder: Ladder, sector: VortexSector | Mapping[str, int]) -
     values = sector.values if isinstance(sector, VortexSector) else sector
     sid = sector_id(ladder, values)  # validates names and +-1 entries
     cotree, (x,) = cotree_flips(ladder, [sid])
+    return gauge_from_flips(ladder, cotree, x, values)
+
+
+def gauge_from_flips(
+    ladder: Ladder, cotree: list[tuple[int, int]], x: int, values: Mapping[str, int]
+) -> GaugeConfig:
+    """The gauge with u = -1 on the co-tree bonds set in ``x`` (bit c for
+    ``cotree[c]``, as ``cotree_flips`` returns them) and u = +1 elsewhere,
+    checked to reproduce the sector ``values``."""
     u = dict.fromkeys(ladder.bond_map, 1)
     u.update((pair, -1) for c, pair in enumerate(cotree) if (x >> c) & 1)
     out = GaugeConfig(u)

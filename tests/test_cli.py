@@ -414,12 +414,27 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
                "couplings": {"preset": "decaying-top-closed"}, key: value}
         assert cli.main(["gap-scan", "--config", write_config(tmp_path, doc)]) == 2
         assert f"config.{key}" in capsys.readouterr().err
+    # a repeated pattern would get two gaps per N in the BL summary
+    twice = {"ladder": {"boundary": "closed"}, "cells_range": [4, 8], "patterns": ["BL", "BL"],
+             "couplings": {"preset": "decaying-top-closed", "jx": 1.0, "jy": 0.2, "jz": 2.0}}
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a repeated pattern must be rejected before any solve")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli.freefermion, "big_loop_gap", no_solve)
+        assert cli.main(["gap-scan", "--config", write_config(tmp_path, twice)]) == 2
+    assert "config.patterns" in capsys.readouterr().err
 
     # a uniform "t" is validated like "jy"/"jz": bad values are config errors
     for split in ({"jx": 1.0, "t": -0.01}, {"jx": 0.0, "t": 0.01}, {"jx": 1.0, "t": float("nan")}):
         doc = {"ladder": {"cells": 2}, "seed": 1, **split}
         assert cli.main(["perturb", "--config", write_config(tmp_path, doc)]) == 2
         assert "config" in capsys.readouterr().err
+    # a config error from a key read passes through with its own path, once
+    nan_t = {"ladder": {"cells": 2}, "seed": 1, "jx": 1.0, "t": float("nan")}
+    assert cli.main(["perturb", "--config", write_config(tmp_path, nan_t)]) == 2
+    err = capsys.readouterr().err
+    assert "config.t" in err and "config: config." not in err
 
     def boom(conf, args):
         raise ConvergenceError("iteration stalled")

@@ -189,6 +189,8 @@ def test_structure_check_trips_before_any_solve(monkeypatch):
     for solve in (sector_sweep, sector_union_spectrum):
         with pytest.raises(MalformedMatrixError, match="same parity"):
             solve(bad, cc)
+    with pytest.raises(MalformedMatrixError, match="same parity"):
+        big_loop_gap(bad, cc, ["p1", "p2+p3"])
 
 
 def test_block_energies_match_full_matrix_spectrum():
@@ -287,6 +289,76 @@ def test_big_loop_gap_report():
     assert reports[1].pattern is rep.pattern  # a VortexSector passes through
     for r, pattern in zip(reports, ["p2", "BL", "BL+p2N"]):
         assert r == big_loop_gap(ring, cc, [pattern])[0]
+
+
+def _reference_reports(ladder, cc, patterns):
+    """What ``big_loop_gap`` must report, from one sector solve per pattern."""
+    free = pattern_sector(ladder, {})
+    skew = assemble_skew(ladder, cc, gauge_for_sector(ladder, free))
+    modes = mode_spectrum(skew)
+    energy_free = sector_ground_energy(ladder, cc, free)
+    floor = abs(energy_free) * np.finfo(float).eps * ladder.n_sites
+    out = []
+    for text in patterns:
+        sec = pattern_sector(ladder, parse_pattern(ladder, text))
+        flipped = {name for name, v in sec.values.items() if v == -1}
+        if ladder.boundary.value == "closed" and flipped == {"big"}:
+            wrap = twisted_wrap_gap(skew, modes)
+            if abs(wrap) <= floor:
+                out.append(("twisted", sec, energy_free + wrap, energy_free, wrap))
+                continue
+        energy = sector_ground_energy(ladder, cc, sec)
+        out.append(("difference", sec, energy, energy_free, energy - energy_free))
+    return out
+
+
+def test_stacked_pattern_solve_equals_per_sector_solves():
+    rng = np.random.default_rng(43)
+    cases = []
+    for n, bnd in itertools.product(range(2, 9), ("open", "closed")):
+        lad = build_ladder(n, bnd)
+        multi = ["p1+p2N-1", "p2+p3", "p1+p2+p3"] + (["BL", "BL+p2N", "BL+p1+p3"]
+                                                      if bnd == "closed" else [])
+        for _ in range(3):
+            cases.append((lad, random_couplings(lad, rng, lo=-2.0, hi=2.0), ["p1", *multi]))
+    for n in (20, 24):  # below the noise floor, "BL" takes the twisted wrap gap
+        ring, cc = _decaying_ring(n)
+        cases.append((ring, cc, ["p3", "BL", "BL+p2N", "BL"]))
+    kinds = set()
+    for lad, cc, patterns in cases:
+        reports = big_loop_gap(lad, cc, patterns)
+        assert len(reports) == len(patterns)
+        for rep, (kind, sec, energy_pattern, energy_free, gap) in zip(
+                reports, _reference_reports(lad, cc, patterns)):
+            kinds.add(kind)
+            assert rep.pattern == sec
+            assert rep.energy_pattern == energy_pattern, (lad.n_cells, lad.boundary, sec)
+            assert rep.energy_free == energy_free
+            assert rep.gap == gap
+    assert kinds == {"difference", "twisted"}
+
+
+def test_big_loop_gap_solves_a_ladder_once(monkeypatch):
+    from vortexladder import gauge as gauge_mod
+
+    calls = {"svd": 0, "gf2": 0}
+    svd, solve_gf2 = np.linalg.svd, gauge_mod._solve_gf2
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    def counting_gf2(*args, **kwargs):
+        calls["gf2"] += 1
+        return solve_gf2(*args, **kwargs)
+
+    ring = build_ladder(4, "closed")
+    cc = make_couplings("decaying-top-closed", ring, jx=1.0, jy=0.2, jz=2.0)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(gauge_mod, "_solve_gf2", counting_gf2)
+    reports = big_loop_gap(ring, cc, ["BL", "p3", "BL+p2N"])
+    assert [r.gap == r.energy_pattern - r.energy_free for r in reports] == [True] * 3
+    assert calls["svd"] <= 2 and calls["gf2"] <= 2, calls
 
 
 def _decaying_ring(n):
