@@ -78,6 +78,7 @@ from .rp import (
     mirror_theta,
     random_even_element,
     reflect,
+    reflection_gram,
     rp_functional,
     trace_bound_check,
 )

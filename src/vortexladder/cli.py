@@ -20,7 +20,13 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import freefermion, gauge, perturbation, presets, rp, spin_ed
-from .errors import ConfigError, ConvergenceError, GuardExceededError
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    GuardExceededError,
+    InvalidSpecError,
+    MalformedMatrixError,
+)
 from .lattice import BondType, Boundary, Ladder, ReflectionCase, build_ladder, reflection
 
 _MISSING = object()
@@ -548,6 +554,48 @@ def _rp_weights(conf: Conf, rng: np.random.Generator, n: int, mode: str, bulk: s
     return weights
 
 
+def _min_functional(
+    samples: list[rp.MajoranaPolynomial],
+    H: rp.MajoranaPolynomial,
+    theta: Mapping[int, int],
+    betas: list[float],
+    max_degree: int,
+) -> float:
+    """The smallest ``rp_functional`` over every (sample, beta) pair, taken in that order.
+
+    Every pair's value is first read as q = c K conj(c) from one
+    ``reflection_gram`` K per beta; ``rp_functional`` then runs only on the
+    pairs whose q may still be the smallest, with |q - rp_functional| bounded
+    by 1e-10 |c|^T |K| |c|.  Tied pairs are all evaluated, so the result is
+    the value, zero sign included, that evaluating every pair gives.
+    """
+    monos = rp.even_monomials(rp.negative_half(H.n), max_degree)
+    column = {mono: k for k, mono in enumerate(monos)}
+    coeffs = np.zeros((len(samples), len(monos)), dtype=complex)
+    for row, B in zip(coeffs, samples):
+        for mono, c in B.terms.items():
+            if mono not in column:
+                raise InvalidSpecError(f"sample term {mono} is not an even negative-half monomial")
+            row[column[mono]] = c
+    q = np.empty((len(samples), len(betas)), dtype=complex)
+    bound = np.empty(q.shape)
+    for k, beta in enumerate(betas):
+        gram = rp.reflection_gram(H, theta, beta, max_degree)
+        q[:, k] = ((coeffs @ gram) * coeffs.conj()).sum(axis=1)
+        bound[:, k] = 1e-10 * ((np.abs(coeffs) @ np.abs(gram)) * np.abs(coeffs)).sum(axis=1)
+    bad = np.abs(q.imag) > 1e-10 * np.maximum(1.0, np.abs(q))
+    if bad.any():
+        raise MalformedMatrixError(f"trace functional came out non-real: {q[bad][0]}")
+    # a NaN makes the threshold NaN and every pair a candidate, as without the screen
+    threshold = np.min(q.real + bound)
+    best = None
+    for s, k in zip(*np.nonzero(~(q.real - bound > threshold))):
+        val = rp.rp_functional(samples[s], H, theta, beta=betas[k])
+        if best is None or val < best:
+            best = val
+    return best
+
+
 def cmd_rp_verify(conf: Conf, args) -> str:
     n = conf.get("majoranas", int, 8)
     samples = conf.get("samples", int, 200)
@@ -559,6 +607,8 @@ def cmd_rp_verify(conf: Conf, args) -> str:
         raise ConfigError(f"config.majoranas: even count in 2..{rp.MAX_FOCK_MAJORANAS} required")
     if samples < 1:
         raise ConfigError("config.samples: must be >= 1")
+    if max_degree < 0:
+        raise ConfigError("config.max_degree: must be >= 0")
     if not betas or any(b < 0 for b in betas):
         raise ConfigError("config.betas: non-empty, all >= 0")
     seed = _resolve_seed(args, conf)
@@ -570,13 +620,8 @@ def cmd_rp_verify(conf: Conf, args) -> str:
     h1, h2 = rp.doubled_hamiltonians(h_minus, h_zero, h_plus, theta)
 
     target = H if bulk == "symmetric" else h1
-    min_functional = None
-    for _ in range(samples):
-        B = rp.random_even_element(rng, n, max_degree=max_degree)
-        for beta in betas:
-            val = rp.rp_functional(B, target, theta, beta=beta)
-            if min_functional is None or val < min_functional:
-                min_functional = val
+    drawn = [rp.random_even_element(rng, n, max_degree=max_degree) for _ in range(samples)]
+    min_functional = _min_functional(drawn, target, theta, betas, max_degree)
 
     trace_ok = True
     worst_margin = -float("inf")

@@ -11,6 +11,11 @@ indices map through theta, and monomials are re-sorted with the fermionic
 sign.  That action is representation-independent, which is what makes the
 trace functionals below well-defined; the concrete theta is never realized
 as an (anti)unitary matrix here.
+
+For even B = sum_a c_a m_a on the negative half, Tr(B theta(B) e^{-beta H})
+is the quadratic form c K conj(c) of ``reflection_gram``'s K, which is built
+from exact Pauli-string products and one table of e^{-beta H}.
+``rp_functional`` multiplies the dense matrices out and is the oracle for K.
 """
 
 from __future__ import annotations
@@ -182,11 +187,16 @@ class MajoranaPolynomial:
         strings = fock_majoranas(self.n).strings
         op = SpinOperator(self.n // 2)
         for mono, c in self.terms.items():
-            ps = PauliString(0, 0)
-            for v in mono:
-                ps = ps * strings[v - 1]
-            op.add_string(ps, c)
+            op.add_string(_monomial_string(strings, mono), c)
         return np.asarray(op.to_dense(), dtype=complex)
+
+
+def _monomial_string(strings: tuple[PauliString, ...], mono: tuple[int, ...]) -> PauliString:
+    """The monomial's generator strings multiplied in index order."""
+    ps = PauliString(0, 0)
+    for v in mono:
+        ps = ps * strings[v - 1]
+    return ps
 
 
 def quadratic(n: int, weights: Mapping[tuple[int, int], float]) -> MajoranaPolynomial:
@@ -272,6 +282,50 @@ def rp_functional(
     if abs(val.imag) > 1e-10 * max(1.0, abs(val)):
         raise MalformedMatrixError(f"trace functional came out non-real: {val}")
     return float(val.real)
+
+
+def reflection_gram(
+    H: MajoranaPolynomial,
+    theta: Mapping[int, int],
+    beta: float = 1.0,
+    max_degree: int = 4,
+) -> np.ndarray:
+    """K_ab = Tr(m_a theta(m_b) e^{-beta H}) over the monomials m_a of
+    ``even_monomials(negative_half(n), max_degree)``, in that order.
+
+    For B = sum_a c_a m_a, ``rp_functional(B, H, theta, beta)`` is c K conj(c).
+    Each m_a theta(m_b) is one signed Pauli string i^p X^x Z^z, and
+    Tr(X^x Z^z G) = sum_u G[u, u ^ x] (-1)^{|z & u|} comes from one table of G;
+    no monomial is made a matrix.
+    """
+    _check_theta(H.n, theta)
+    if max_degree < 0:
+        raise InvalidSpecError(f"max_degree must be >= 0, got {max_degree}")
+    if not _reflect_any(H, theta).close_to(H, SYMMETRY_TOL):
+        raise InvalidSpecError("H is not reflection-symmetric under theta")
+    state = _gibbs(H, beta)
+    u = np.arange(state.shape[0])
+    walsh = 1.0 - 2.0 * (np.bitwise_count(u[:, None] & u) & 1)
+    table = state[u, u[:, None] ^ u] @ walsh  # table[x, z] = Tr(X^x Z^z G)
+
+    strings = fock_majoranas(H.n).strings
+    monos = even_monomials(negative_half(H.n), max_degree)
+    reflected = []
+    for m in monos:
+        mapped, sign = _merge_sign([theta[v] for v in m])
+        reflected.append((_monomial_string(strings, mapped), sign))
+    x, z = (np.empty((len(monos), len(monos)), dtype=np.int64) for _ in range(2))
+    factor = np.empty(x.shape, dtype=complex)
+    for a, m in enumerate(monos):
+        left = _monomial_string(strings, m)
+        for b, (right, sign) in enumerate(reflected):
+            prod = left * right
+            x[a, b], z[a, b], factor[a, b] = prod.x_mask, prod.z_mask, sign * prod.phase
+    gram = factor * table[x, z]
+    scale = max(1.0, float(np.abs(gram).max()))
+    if np.abs(gram - gram.conj().T).max() > SYMMETRY_TOL * scale:
+        raise MalformedMatrixError("reflection Gram matrix is not Hermitian")
+    return gram
 
 
 def fix_cross_signs(

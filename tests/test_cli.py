@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from vortexladder import cli, freefermion
-from vortexladder.errors import ConvergenceError
+from vortexladder import cli, freefermion, rp
+from vortexladder.errors import ConvergenceError, InvalidSpecError, MalformedMatrixError
 from vortexladder.lattice import build_ladder
 
 HOMOG = {"preset": "homogeneous-xyz", "jx": 1.1, "jy": 0.7, "jz": 1.3}
@@ -351,6 +351,94 @@ def test_rp_verify_modes(tmp_path):
     assert doc["verdict"] == "pass" and doc["min_functional"] < -1e-6
 
 
+def _brute_force_min(doc):
+    """Every (sample, beta) pair through rp_functional, as cmd_rp_verify once did."""
+    conf = cli.Conf(doc)
+    n, samples, max_degree = doc["majoranas"], doc["samples"], doc.get("max_degree", 4)
+    betas = doc.get("betas", [0.5, 1.0, 2.0])
+    rng = np.random.default_rng(doc["seed"])
+    theta = rp.mirror_theta(n)
+    H = rp.quadratic(n, cli._rp_weights(conf, rng, n, doc["mode"], doc["bulk"]))
+    h1, _ = rp.doubled_hamiltonians(*rp.split_by_side(H), theta)
+    target = H if doc["bulk"] == "symmetric" else h1
+    min_functional = None
+    for _ in range(samples):
+        B = rp.random_even_element(rng, n, max_degree=max_degree)
+        for beta in betas:
+            val = rp.rp_functional(B, target, theta, beta=beta)
+            if min_functional is None or val < min_functional:
+                min_functional = val
+    return min_functional
+
+
+def _count_rp_functional(monkeypatch):
+    calls = []
+    real = rp.rp_functional
+
+    def counted(B, H, theta, beta=1.0):
+        calls.append(real(B, H, theta, beta=beta))
+        return calls[-1]
+
+    monkeypatch.setattr(rp, "rp_functional", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("mode", ["verify", "violate"])
+@pytest.mark.parametrize("bulk", ["symmetric", "asymmetric"])
+def test_rp_verify_min_functional_is_the_exact_minimum(tmp_path, monkeypatch, n, mode, bulk):
+    doc = {"majoranas": n, "samples": 12, "mode": mode, "bulk": bulk, "seed": 17 + n}
+    want = _brute_force_min(doc)
+    calls = _count_rp_functional(monkeypatch)
+    out = tmp_path / "rp.json"
+    assert cli.main(["rp-verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["min_functional"] == want
+    assert calls == [want]  # the screen leaves one pair of 36 to rp_functional
+
+
+def test_rp_verify_evaluates_every_tied_candidate(tmp_path, monkeypatch):
+    doc = {"majoranas": 8, "samples": 6, "mode": "violate", "bulk": "asymmetric", "seed": 3}
+    out = tmp_path / "rp.json"
+    assert cli.main(["rp-verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    want = json.loads(out.read_text())["min_functional"]
+
+    real, drawn = rp.random_even_element, []
+
+    def each_sample_twice(rng, n, max_degree=4):
+        if len(drawn) % 2 == 0:
+            drawn.append(real(rng, n, max_degree=max_degree))
+        else:
+            drawn.append(rp.MajoranaPolynomial(n, drawn[-1].terms))
+        return drawn[-1]
+
+    monkeypatch.setattr(rp, "random_even_element", each_sample_twice)
+    calls = _count_rp_functional(monkeypatch)
+    doubled = write_config(tmp_path, {**doc, "samples": 12}, name="doubled.json")
+    assert cli.main(["rp-verify", "--config", doubled, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["min_functional"] == want
+    assert calls == [want, want]
+
+
+def test_min_functional_checks(monkeypatch):
+    n = 8
+    theta = rp.mirror_theta(n)
+    h = rp.quadratic(n, {(1, 2): 0.5, (7, 8): 0.5, (1, 8): 1.0, (2, 7): 0.8, (3, 6): 0.6,
+                         (4, 5): 0.9})
+    samples = [rp.random_even_element(np.random.default_rng(k), n) for k in range(3)]
+    assert cli._min_functional(samples, h, theta, [1.0], 4) == min(
+        rp.rp_functional(b, h, theta) for b in samples)
+    with pytest.raises(InvalidSpecError):  # a term outside the degree-2 monomials
+        cli._min_functional(samples, h, theta, [1.0], 2)
+    # a near-tie closer than rounding: both pairs go to rp_functional
+    calls = _count_rp_functional(monkeypatch)
+    near = [samples[0], samples[0] * (1 + 2.0 ** -48)]
+    assert cli._min_functional(near, h, theta, [1.0], 4) == min(calls) and len(calls) == 2
+    real = rp.reflection_gram
+    monkeypatch.setattr(rp, "reflection_gram", lambda *args: 1j * real(*args))
+    with pytest.raises(MalformedMatrixError):
+        cli._min_functional(samples, h, theta, [1.0], 4)
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = write_config(tmp_path, {"majoranas": 8, "samples": 10, "seed": 11})
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -453,6 +541,8 @@ NON_FINITE = {
     "rp-nan": ("rp-verify", '{"majoranas": 4, "samples": 2, "seed": 1, "betas": [NaN]}', []),
     "rp-inf": ("rp-verify", '{"majoranas": 4, "samples": 2, "seed": 1, "betas": [Infinity]}', []),
     "rp-1e999": ("rp-verify", '{"majoranas": 4, "samples": 2, "seed": 1, "betas": [1e999]}', []),
+    "rp-negative-degree": ("rp-verify", '{"majoranas": 8, "samples": 3, "seed": 1, "max_degree": -2}',
+                           []),
     "perturb-guard-nan": ("perturb", '{"ladder": {"cells": 2}, "seed": 1, "jx": 1.0, "t": 0.01, '
                           '"ratio_guard": NaN}', []),
     "perturb-huge-int": ("perturb", '{"ladder": {"cells": 2}, "seed": 1, "jx": 1' + "0" * 400

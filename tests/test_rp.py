@@ -17,6 +17,7 @@ from vortexladder.rp import (
     quadratic,
     random_even_element,
     reflect,
+    reflection_gram,
     rp_functional,
     split_by_side,
     trace_bound_check,
@@ -354,3 +355,100 @@ def test_gibbs_state_is_memoized_per_exact_hamiltonian():
         assert not state.flags.writeable
         assert rp._gibbs(ham, 0.7) is state
     assert rp._gibbs(h, 0.7) is not rp._gibbs(h2, 0.7)
+
+
+def _rp_hamiltonians(rng, n, violate=False):
+    """A mirror-symmetric H and the doubled H1 of an asymmetric bulk, with
+    positive cross couplings (one negative when ``violate``)."""
+    half = n // 2
+    bulk = {(i, j): float(rng.uniform(-1, 1))
+            for i in range(1, half + 1) for j in range(i + 1, half + 1)}
+    cross = {(i, n + 1 - i): float(rng.uniform(0.5, 1.5)) for i in range(1, half + 1)}
+    if violate:
+        cross[(1, n)] = -cross[(1, n)]
+    mirrored = {(n + 1 - j, n + 1 - i): w for (i, j), w in bulk.items()}
+    other = {(i, j): float(rng.uniform(-1, 1))
+             for i in range(half + 1, n + 1) for j in range(i + 1, n + 1)}
+    symmetric = quadratic(n, {**bulk, **mirrored, **cross})
+    h1, _ = doubled_hamiltonians(*split_by_side(quadratic(n, {**bulk, **other, **cross})),
+                                 mirror_theta(n))
+    return symmetric, h1
+
+
+def _coefficients(b, n, max_degree=4):
+    return np.array([b.terms.get(m, 0) for m in even_monomials(negative_half(n), max_degree)])
+
+
+@pytest.mark.parametrize("violate", [False, True])
+def test_reflection_gram_quadratic_form_is_rp_functional(violate):
+    rng = np.random.default_rng(2024 + violate)
+    for n in (4, 8, 12):
+        theta = mirror_theta(n)
+        for h in _rp_hamiltonians(rng, n, violate):
+            for beta in (0.5, 1.0, 2.0):
+                gram = reflection_gram(h, theta, beta)
+                size = len(even_monomials(negative_half(n)))
+                assert gram.shape == (size, size) and gram.dtype == np.complex128
+                assert np.abs(gram - gram.conj().T).max() <= 1e-12 * np.abs(gram).max()
+                if not violate:  # reflection positivity: K is positive semi-definite
+                    lowest = np.linalg.eigvalsh(gram)[0]
+                    assert lowest >= -1e-10 * np.linalg.norm(gram, 2)
+                for _ in range(10):
+                    b = random_even_element(rng, n)
+                    c = _coefficients(b, n)
+                    want = rp_functional(b, h, theta, beta=beta)
+                    got = c @ gram @ c.conj()
+                    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_reflection_gram_negative_value_in_violate_mode():
+    # a negative cross coupling: some B has a negative functional, and K sees it
+    n = 8
+    theta = mirror_theta(n)
+    h, _ = _rp_hamiltonians(np.random.default_rng(4), n, violate=True)
+    gram = reflection_gram(h, theta, 1.0)
+    w, v = np.linalg.eigh(gram)
+    assert w[0] < -1e-6 * np.linalg.norm(gram, 2)
+    monos = even_monomials(negative_half(n))
+    b = MajoranaPolynomial(n, dict(zip(monos, v[:, 0].conj())))  # c K conj(c) = v^H K v
+    assert rp_functional(b, h, theta) == pytest.approx(w[0], rel=1e-12)
+
+
+def test_reflection_gram_degree_and_order():
+    n = 8
+    theta = mirror_theta(n)
+    h, _ = _rp_hamiltonians(np.random.default_rng(6), n)
+    full = reflection_gram(h, theta, 0.7, max_degree=4)
+    for degree in (0, 1, 2, 3):
+        keep = [k for k, m in enumerate(even_monomials(negative_half(n))) if len(m) <= degree]
+        assert reflection_gram(h, theta, 0.7, max_degree=degree).tobytes() == \
+            full[np.ix_(keep, keep)].tobytes()
+    # K_00 = Tr e^{-beta H}
+    assert full[0, 0] == pytest.approx(np.trace(rp._gibbs(h, 0.7)).real, rel=1e-14)
+    with pytest.raises(InvalidSpecError):
+        reflection_gram(h, theta, 0.7, max_degree=-2)
+
+
+def test_reflection_gram_rejects_what_rp_functional_rejects():
+    n = 4
+    theta = mirror_theta(n)
+    b = MajoranaPolynomial(n, {(1, 2): 1.0})
+    lopsided = quadratic(n, {(1, 2): 0.5, (3, 4): 0.9, (2, 3): 1.0})
+    symmetric = quadratic(n, {(1, 2): 0.5, (3, 4): 0.5, (2, 3): 1.0})
+    bad_thetas = ({1: 2, 2: 1, 3: 4, 4: 3}, {1: 4, 2: 3, 3: 2}, {1: 1, 2: 3, 3: 2, 4: 4})
+    for h, t in [(lopsided, theta)] + [(symmetric, t) for t in bad_thetas]:
+        with pytest.raises(InvalidSpecError):
+            rp_functional(b, h, t)
+        with pytest.raises(InvalidSpecError):
+            reflection_gram(h, t)
+
+
+def test_reflection_gram_checks_hermiticity(monkeypatch):
+    n = 8
+    theta = mirror_theta(n)
+    h, _ = _rp_hamiltonians(np.random.default_rng(8), n)
+    state = rp._gibbs(h, 1.0)
+    skewed = state + 1e-3 * np.abs(state).max() * np.random.default_rng(0).random(state.shape)
+    monkeypatch.setattr(rp, "_gibbs", lambda *args: skewed)
+    with pytest.raises(MalformedMatrixError):
+        reflection_gram(h, theta, 1.0)
