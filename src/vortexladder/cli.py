@@ -629,7 +629,10 @@ def cmd_rp_verify(conf: Conf, args) -> str:
         report = rp.trace_bound_check(H, h1, h2, beta=beta)
         worst_margin = max(worst_margin, report.margin)
         trace_ok = trace_ok and report.holds
-    energy = rp.energy_inequality_check(H, h1, h2)
+    try:  # the quadratic cross-check's mode solver rejects extreme weights
+        energy = rp.energy_inequality_check(H, h1, h2)
+    except ValueError as e:
+        raise ConfigError(f"config.cross_weights: {e}") from e
 
     if mode == "verify":
         positive = min_functional >= -1e-10

@@ -28,7 +28,10 @@ gap of a closed ladder decays exponentially in N (as exp(-1.48 N) for the
 decaying-top preset at jx, jy, jz = 1.0, 0.2, 2.0, which crosses that floor
 at N = 20).  Below the floor ``big_loop_gap`` takes ``twisted_wrap_gap``,
 which gets the gap from a ratio of determinants of the two sectors' matrices
-(Molinari, arXiv:0712.0681) and never subtracts two energies.
+(Molinari, arXiv:0712.0681) and never subtracts two energies.  The ratio
+eliminates the interior rungs by cyclic reduction, every other rung per
+level for all rungs and quadrature nodes at once, so a ring of 2N rungs
+takes about log2(2N) vectorized levels.
 """
 
 from __future__ import annotations
@@ -398,14 +401,17 @@ class GapReport:
     gap: float
 
 
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+def _mul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of 2x2 blocks stored components-first, (2, 2, ...): two
+    broadcast multiplies and one add (np.matmul on stacks of 2x2 matrices
+    costs ~30 ns per block)."""
+    return a[:, :1] * b[:1] + a[:, 1:] * b[1:]
 
 
 def _inverse_2x2(m: np.ndarray) -> np.ndarray:
-    """Inverse of a stack of 2x2 matrices from the adjugate (np.linalg.inv
-    costs ~5x more on such small stacks)."""
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    return m[:, ::-1, ::-1].transpose(0, 2, 1) * _ADJUGATE_SIGNS / det[:, None, None]
+    """Inverses of 2x2 blocks stored components-first, from the adjugate."""
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
 
 
 def _wrap_log_det_ratio(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -414,47 +420,60 @@ def _wrap_log_det_ratio(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     A is a closed ladder's skew matrix and A' is A with the block between
     rung 1 and rung 2N (the two wrap bonds) negated; rung j holds sites
     (2j-1, 2j), so A is block-tridiagonal in 2x2 blocks plus that corner.
-    One sweep eliminates the interior rungs 2..2N-1 and leaves a 4x4 Schur
+    Cyclic reduction eliminates the interior rungs 2..2N-1: each level
+    removes every other interior rung of the chain left by the level before
+    (its odd positions), all rungs and nodes at once, and rungs 1 and 2N
+    stay at every level, so about log2(2N) levels leave a 4x4 Schur
     complement on rungs 1 and 2N, M + W + E for A and M - W + E for A':
-    M is block-diagonal, W the wrap block and E the end-to-end fill, a
-    product of pivot inverses and couplings that is exponentially small in N
-    on a gapped ladder and involves no subtraction.  Eliminating rung 1 as
+    M is block-diagonal, W the wrap block and E the end-to-end fill.  Each
+    level's new couplings are products -U D^-1 U' of couplings and pivot
+    inverses, so E is a product that involves no subtraction and is
+    exponentially small in N on a gapped ladder.  Eliminating rung 1 as
     well leaves H - X for A and H + X for A' on rung 2N, with H common to
     both and X first order in E, so with L = H^-1 X the log-ratio is
     log det(1 - L) - log det(1 + L) = -2 artanh(tr L / (1 + det L)): small
     terms that keep their relative accuracy.  The symmetric part of x + A is
-    x > 0 and Schur complements keep a positive definite symmetric part, so
-    no pivot, nor H (the mean of two such complements), is singular.
+    x > 0 and Schur complements keep a positive definite symmetric part in
+    any elimination order, so no pivot, nor H (the mean of two such
+    complements), is singular.  Blocks are stored components-first,
+    (2, 2, rungs, nodes).
     """
     rungs = a.shape[0] // 2
-
-    def block(i: int, j: int) -> np.ndarray:
-        return a[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-
-    shift = x[:, None, None] * np.eye(2)
-    corner = shift + block(0, 0)
-    pivot = shift + block(1, 1)
-    # left = [fill into rung 1; coupling into the next rung], right = [coupling
-    # from the next rung | fill from rung 1], both seen from the pivot rung
-    left = np.empty(x.shape + (4, 2))
-    right = np.empty(x.shape + (2, 4))
-    left[:, :2] = block(0, 1)
-    right[:, :, 2:] = block(1, 0)
-    for j in range(1, rungs - 1):
-        left[:, 2:] = block(j + 1, j)
-        right[:, :, :2] = block(j, j + 1)
-        prod = left @ (_inverse_2x2(pivot) @ right)
-        corner -= prod[:, :2, 2:]
-        pivot = shift + block(j + 1, j + 1) - prod[:, 2:, :2]
-        left[:, :2] = -prod[:, :2, :2]
-        right[:, :, 2:] = -prod[:, 2:, 2:]
-    fill_up, fill_down = left[:, :2], right[:, :, 2:]
-    wrap_up, wrap_down = block(0, rungs - 1), block(rungs - 1, 0)
+    blocks = a.reshape(rungs, 2, rungs, 2)
+    k = np.arange(rungs)
+    # diagonal, upper (rung k to k+1) and lower (k+1 to k) blocks of the chain
+    diag = np.moveaxis(blocks[k, :, k], 0, -1)[..., None] + np.eye(2)[..., None, None] * x
+    shape = (2, 2, rungs - 1, len(x))
+    upper = np.broadcast_to(np.moveaxis(blocks[k[:-1], :, k[1:]], 0, -1)[..., None], shape)
+    lower = np.broadcast_to(np.moveaxis(blocks[k[1:], :, k[:-1]], 0, -1)[..., None], shape)
+    while diag.shape[2] > 2:
+        m = diag.shape[2] - 1  # chain positions 0..m; eliminate 1, 3, .., 2q-1
+        q = m // 2
+        inv = _inverse_2x2(diag[:, :, 1 : 2 * q : 2])
+        up_left, low_left = upper[:, :, 0 : 2 * q : 2], lower[:, :, 0 : 2 * q : 2]
+        up_right, low_right = upper[:, :, 1 : 2 * q : 2], lower[:, :, 1 : 2 * q : 2]
+        left = _mul_2x2(up_left, inv)  # position 2j's coupling times the pivot inverse
+        right = _mul_2x2(low_right, inv)  # position 2j+2's
+        kept = diag[:, :, 0 : 2 * q + 1 : 2].copy()
+        kept[:, :, :-1] -= _mul_2x2(left, low_left)
+        kept[:, :, 1:] -= _mul_2x2(right, up_right)
+        new_upper, new_lower = -_mul_2x2(left, up_right), -_mul_2x2(right, low_left)
+        if m % 2:  # the last position is kept with its coupling to position 2q
+            kept = np.concatenate([kept, diag[:, :, m:]], axis=2)
+            new_upper = np.concatenate([new_upper, upper[:, :, m - 1 :]], axis=2)
+            new_lower = np.concatenate([new_lower, lower[:, :, m - 1 :]], axis=2)
+        diag, upper, lower = kept, new_upper, new_lower
+    corner, pivot = diag[:, :, 0], diag[:, :, 1]
+    fill_up, fill_down = upper[:, :, 0], lower[:, :, 0]
+    wrap_up = blocks[0, :, rungs - 1][..., None]
+    wrap_down = blocks[rungs - 1, :, 0][..., None]
     corner_inv = _inverse_2x2(corner)
-    h = pivot - wrap_down @ corner_inv @ wrap_up - fill_down @ corner_inv @ fill_up
-    l = _inverse_2x2(h) @ (fill_down @ corner_inv @ wrap_up + wrap_down @ corner_inv @ fill_up)
-    trace = l[:, 0, 0] + l[:, 1, 1]
-    det = l[:, 0, 0] * l[:, 1, 1] - l[:, 0, 1] * l[:, 1, 0]
+    h = (pivot - _mul_2x2(_mul_2x2(wrap_down, corner_inv), wrap_up)
+         - _mul_2x2(_mul_2x2(fill_down, corner_inv), fill_up))
+    l = _mul_2x2(_inverse_2x2(h), _mul_2x2(_mul_2x2(fill_down, corner_inv), wrap_up)
+                 + _mul_2x2(_mul_2x2(wrap_down, corner_inv), fill_up))
+    trace = l[0, 0] + l[1, 1]
+    det = l[0, 0] * l[1, 1] - l[0, 1] * l[1, 0]
     return -2.0 * np.arctanh(trace / (1.0 + det))
 
 
@@ -469,7 +488,8 @@ def twisted_wrap_gap(skew: SkewAdjacency, modes: ModeSpectrum) -> float:
 
         E(A') - E(A) = (1/pi) int_0^inf log[det(x + A) / det(x + A')] dx.
 
-    The integrand comes from ``_wrap_log_det_ratio``.  The integral is a
+    The integrand comes from ``_wrap_log_det_ratio``, one cyclic reduction
+    of the interior rungs for all quadrature nodes at once.  The integral is a
     trapezoid rule in s = log x from log(eps_min) - 20 to log(eps_max) + 6,
     plus x * f(x) at the lower end for the flat part below it; above the
     range the integrand falls off as x^-2N, because A and A' share every

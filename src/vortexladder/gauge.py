@@ -191,25 +191,58 @@ def cycle_cotree_matrix(ladder: Ladder, cotree: list[tuple[int, int]]) -> list[i
     return rows
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _solve_gf2(rows: list[int], rhs: Sequence[int]) -> list[int]:
     """Solve rows . x = b over GF(2) for every b in ``rhs`` (bit r = row r's
-    value) by one Gauss-Jordan elimination; row r carries b_k's bit r at bit
-    n+k.  Each x comes back as a bitmask."""
+    value); row r carries b_k's bit r at bit n+k.  Each x comes back as a
+    bitmask; InconsistentSectorError if the rows are dependent.
+
+    Forward elimination clears column c only from the rows not yet used as
+    pivots, which leaves each pivot row with bit c and higher bits alone; a
+    column view (``cols[c]``: the rows holding bit c) finds pivots and the
+    rows to clear without a scan.  Each x is then one back substitution,
+    x_c = b_c + parity(row & x).  A cycle/co-tree matrix is nearly
+    bidiagonal and barely fills in, so both passes are near-linear in n.
+    """
     n = len(rows)
     aug = [
         row | sum(((b >> r) & 1) << (n + k) for k, b in enumerate(rhs))
         for r, row in enumerate(rows)
     ]
+    cols = [0] * n
+    for r, row in enumerate(rows):
+        for c in _bits(row):
+            cols[c] |= 1 << r
+    low = (1 << n) - 1  # the coefficient bits
+    free = low  # rows not yet a pivot
+    pivots = []
     for c in range(n):
-        bit = 1 << c
-        p = next((r for r in range(c, n) if aug[r] & bit), None)
-        if p is None:
+        below = cols[c] & free
+        if not below:
             raise InconsistentSectorError("cycle basis is linearly dependent")
-        aug[c], aug[p] = aug[p], aug[c]
-        for r in range(n):
-            if r != c and aug[r] & bit:
-                aug[r] ^= aug[c]
-    return [sum(((aug[c] >> (n + k)) & 1) << c for c in range(n)) for k in range(len(rhs))]
+        p = (below & -below).bit_length() - 1
+        free ^= 1 << p
+        below ^= 1 << p
+        pivots.append(aug[p])
+        for r in _bits(below):
+            aug[r] ^= aug[p]
+        for c2 in _bits(aug[p] & low):
+            cols[c2] ^= below
+    out = []
+    for k in range(len(rhs)):
+        x = 0
+        for c in range(n - 1, -1, -1):
+            row = pivots[c]
+            x |= (((row >> (n + k)) ^ (row & x).bit_count()) & 1) << c
+        out.append(x)
+    return out
 
 
 def cotree_flips(ladder: Ladder, sids: Sequence[int]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -219,7 +252,9 @@ def cotree_flips(ladder: Ladder, sids: Sequence[int]) -> tuple[list[tuple[int, i
 
     The flips x solve C x = sid ^ sid0 over GF(2), where row b of C marks the
     co-tree bonds on the loop of sector-id bit b and sid0 is the sector of
-    the all-(+1) gauge; one elimination solves for every id.
+    the all-(+1) gauge.  One forward elimination of C serves every id, and
+    each id then takes one back substitution (``_solve_gf2``); C is nearly
+    bidiagonal, so a pass is near-linear in the number of cycles.
     """
     _, cotree = spanning_cotree(ladder)
     rows = cycle_cotree_matrix(ladder, cotree)[::-1]  # first cycle = MSB

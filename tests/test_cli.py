@@ -543,6 +543,8 @@ NON_FINITE = {
     "rp-1e999": ("rp-verify", '{"majoranas": 4, "samples": 2, "seed": 1, "betas": [1e999]}', []),
     "rp-negative-degree": ("rp-verify", '{"majoranas": 8, "samples": 3, "seed": 1, "max_degree": -2}',
                            []),
+    "rp-huge-cross-weight": ("rp-verify", '{"majoranas": 8, "samples": 5, "seed": 3, '
+                             '"cross_weights": [1e300, 1, 1, 1]}', []),
     "perturb-guard-nan": ("perturb", '{"ladder": {"cells": 2}, "seed": 1, "jx": 1.0, "t": 0.01, '
                           '"ratio_guard": NaN}', []),
     "perturb-huge-int": ("perturb", '{"ladder": {"cells": 2}, "seed": 1, "jx": 1' + "0" * 400
@@ -567,7 +569,10 @@ def test_non_finite_and_negative_values_are_config_errors(tmp_path, capsys, case
     cfg.write_text(text)
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if case == "rp-huge-cross-weight":
+        assert "config.cross_weights" in err
     assert not out.exists()
 
 

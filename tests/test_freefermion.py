@@ -27,6 +27,7 @@ from vortexladder.freefermion import (
     sector_sweep,
     sector_union_spectrum,
     twisted_wrap_gap,
+    _wrap_log_det_ratio,
 )
 from vortexladder.gauge import GaugeConfig, enumerate_sectors, gauge_for_sector, sector_from_id
 from vortexladder.lattice import Bond, BondType, Ladder, build_ladder
@@ -379,6 +380,81 @@ def test_twisted_wrap_gap_matches_resolved_difference():
         assert twisted == pytest.approx(diff, rel=1e-8, abs=0)
 
 
+def _sequential_wrap_log_det_ratio(a, x):
+    """Oracle: the rung-by-rung elimination that cyclic reduction replaced,
+    in the (nodes, 2, 2) block layout and with ``np.matmul``."""
+    rungs = a.shape[0] // 2
+
+    def block(i, j):
+        return a[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+
+    def inverse(m):
+        det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+        return m[:, ::-1, ::-1].transpose(0, 2, 1) * [[1.0, -1.0], [-1.0, 1.0]] / det[:, None, None]
+
+    shift = x[:, None, None] * np.eye(2)
+    corner = shift + block(0, 0)
+    pivot = shift + block(1, 1)
+    left = np.empty(x.shape + (4, 2))
+    right = np.empty(x.shape + (2, 4))
+    left[:, :2] = block(0, 1)
+    right[:, :, 2:] = block(1, 0)
+    for j in range(1, rungs - 1):
+        left[:, 2:] = block(j + 1, j)
+        right[:, :, :2] = block(j, j + 1)
+        prod = left @ (inverse(pivot) @ right)
+        corner -= prod[:, :2, 2:]
+        pivot = shift + block(j + 1, j + 1) - prod[:, 2:, :2]
+        left[:, :2] = -prod[:, :2, :2]
+        right[:, :, 2:] = -prod[:, 2:, 2:]
+    fill_up, fill_down = left[:, :2], right[:, :, 2:]
+    wrap_up, wrap_down = block(0, rungs - 1), block(rungs - 1, 0)
+    corner_inv = inverse(corner)
+    h = pivot - wrap_down @ corner_inv @ wrap_up - fill_down @ corner_inv @ fill_up
+    l = inverse(h) @ (fill_down @ corner_inv @ wrap_up + wrap_down @ corner_inv @ fill_up)
+    trace = l[:, 0, 0] + l[:, 1, 1]
+    det = l[:, 0, 0] * l[:, 1, 1] - l[:, 0, 1] * l[:, 1, 0]
+    return -2.0 * np.arctanh(trace / (1.0 + det))
+
+
+def _gap_nodes(eps):
+    """The quadrature nodes x of ``twisted_wrap_gap`` for mode energies eps."""
+    lo, hi = np.log(eps.min()) - 20.0, np.log(eps.max()) + 6.0
+    return np.exp(np.linspace(lo, hi, int(np.ceil((hi - lo) / 0.25)) + 1))
+
+
+def _assert_integrands_agree(a, x):
+    want = _sequential_wrap_log_det_ratio(a, x)
+    got = _wrap_log_det_ratio(a, x)
+    assert np.all(np.isfinite(want))
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_cyclic_reduction_matches_sequential_elimination():
+    rng = np.random.default_rng(59)
+    for n in [*range(2, 13), 50]:
+        ring = build_ladder(n, "closed")
+        for _ in range(3 if n < 50 else 1):
+            cc = random_couplings(ring, rng, lo=-2.0, hi=2.0)
+            sid = int("".join(map(str, rng.integers(0, 2, len(ring.cycle_names)))), 2)
+            skew = assemble_skew(ring, cc, gauge_for_sector(ring, sector_from_id(ring, sid)))
+            _assert_integrands_agree(skew.matrix, _gap_nodes(mode_spectrum(skew).eps))
+
+
+def test_cyclic_reduction_on_every_chain_length():
+    # bipartite block-tridiagonal skew matrices plus a corner block, like a
+    # ladder's, with odd and even numbers of interior rungs (a ladder has 2N - 2)
+    rng = np.random.default_rng(61)
+    for rungs in [*range(3, 16), 101]:
+        a = np.zeros((2 * rungs, 2 * rungs))
+        for i in range(rungs):
+            j = (i + 1) % rungs
+            a[2 * i, 2 * j + 1], a[2 * i + 1, 2 * j] = rng.uniform(-2.0, 2.0, 2)
+            a[2 * i, 2 * i + 1] = rng.uniform(-2.0, 2.0)
+        a -= a.T
+        _assert_integrands_agree(a, _gap_nodes(np.abs(np.linalg.eigvals(a))))
+
+
 def _bipartite_ground_energy(ring, cc, sector, mpmath):
     """-sum of singular values of the sublattice block, at mpmath's precision."""
     a = assemble_skew(ring, cc, gauge_for_sector(ring, sector)).matrix
@@ -389,18 +465,27 @@ def _bipartite_ground_energy(ring, cc, sector, mpmath):
     return -mpmath.fsum(mpmath.svd_r(block, compute_uv=False))
 
 
-def test_big_loop_gap_below_noise_floor_matches_high_precision():
+def _check_gap_against_high_precision(n, reference):
     mpmath = pytest.importorskip("mpmath")
-    ring, cc = _decaying_ring(20)
+    ring, cc = _decaying_ring(n)
     rep = big_loop_gap(ring, cc, ["BL"])[0]
     with mpmath.workdps(45):
         want = float(
             _bipartite_ground_energy(ring, cc, rep.pattern, mpmath)
             - _bipartite_ground_energy(ring, cc, pattern_sector(ring, {}), mpmath)
         )
-    assert want == pytest.approx(3.45822244228e-13, rel=1e-10)
+    assert want == pytest.approx(reference, rel=1e-10)
     assert rep.gap == pytest.approx(want, rel=1e-8, abs=0)
     assert rep.energy_pattern == rep.energy_free + rep.gap
+
+
+def test_big_loop_gap_below_noise_floor_matches_high_precision():
+    _check_gap_against_high_precision(20, 3.45822244228e-13)
+
+
+def test_big_loop_gap_at_n30_matches_high_precision():
+    # six orders of magnitude below the N = 20 gap, 1e5 below its noise floor
+    _check_gap_against_high_precision(30, 1.27034645959e-19)
 
 
 def test_coupling_validation():

@@ -13,6 +13,7 @@ from vortexladder.gauge import (
     GaugeConfig,
     SignAssignment,
     VortexSector,
+    _solve_gf2,
     apply_gauge,
     cycle_cotree_matrix,
     enumerate_sectors,
@@ -191,3 +192,65 @@ def test_gauge_json_round_trip():
     doc["u"] = doc["u"][:-1]
     with pytest.raises(InvalidSpecError):
         GaugeConfig.from_json_dict(doc, lad)
+
+
+def gauss_jordan_gf2(rows, rhs):
+    """Oracle: the dense Gauss-Jordan elimination over GF(2) that
+    ``_solve_gf2`` replaced; row r carries b_k's bit r at bit n+k."""
+    n = len(rows)
+    aug = [
+        row | sum(((b >> r) & 1) << (n + k) for k, b in enumerate(rhs))
+        for r, row in enumerate(rows)
+    ]
+    for c in range(n):
+        bit = 1 << c
+        p = next((r for r in range(c, n) if aug[r] & bit), None)
+        if p is None:
+            raise InconsistentSectorError("cycle basis is linearly dependent")
+        aug[c], aug[p] = aug[p], aug[c]
+        for r in range(n):
+            if r != c and aug[r] & bit:
+                aug[r] ^= aug[c]
+    return [sum(((aug[c] >> (n + k)) & 1) << c for c in range(n)) for k in range(len(rhs))]
+
+
+def _solve_or_singular(solve, rows, rhs):
+    try:
+        return solve(list(rows), rhs)
+    except InconsistentSectorError:
+        return "singular"
+
+
+def test_solve_gf2_matches_gauss_jordan_on_every_ladder():
+    rng = np.random.default_rng(47)
+    for n in range(2, 101):
+        for bnd in ("open", "closed"):
+            lad = build_ladder(n, bnd)
+            _, cotree = spanning_cotree(lad)
+            rows = cycle_cotree_matrix(lad, cotree)[::-1]
+            rhs = [int("".join(map(str, rng.integers(0, 2, len(rows)))), 2) for _ in range(4)]
+            assert _solve_gf2(rows, rhs) == gauss_jordan_gf2(rows, rhs), (n, bnd)
+
+
+def test_solve_gf2_matches_gauss_jordan_on_random_systems():
+    rng = np.random.default_rng(53)
+    kinds = {"singular": 0, "solved": 0}
+    for trial in range(1200):
+        n = int(rng.integers(1, 33))
+        if trial % 2:  # sparse or dense rows: mostly singular
+            bits = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+        else:  # a random invertible matrix, sometimes with one row made dependent
+            bits = np.eye(n, dtype=bool)[rng.permutation(n)]
+            for _ in range(3 * n):
+                i, j = rng.integers(0, n, 2)
+                if i != j:
+                    bits[i] ^= bits[j]
+            if n > 1 and rng.random() < 0.2:
+                i, j = rng.choice(n, 2, replace=False)
+                bits[i] = bits[j] ^ (bits[int(rng.integers(n))] if rng.random() < 0.5 else False)
+        rows = [sum(1 << int(c) for c in np.flatnonzero(row)) for row in bits]
+        rhs = [int(rng.integers(0, 1 << n)) for _ in range(int(rng.integers(0, 5)))]
+        got = _solve_or_singular(_solve_gf2, rows, rhs)
+        assert got == _solve_or_singular(gauss_jordan_gf2, rows, rhs), (rows, rhs)
+        kinds["singular" if got == "singular" else "solved"] += 1
+    assert min(kinds.values()) >= 300, kinds
