@@ -488,7 +488,10 @@ def _config_split(conf: Conf, ladder: Ladder) -> perturbation.PerturbationSplit:
 def cmd_perturb(conf: Conf, args) -> str:
     ladder = _config_ladder(conf)
     split = _config_split(conf, ladder)
-    effective = perturbation.effective(ladder, split)
+    try:  # the printed ring formulas assume N > 2
+        effective = perturbation.effective(ladder, split)
+    except InvalidSpecError as e:
+        raise ConfigError(f"config.ladder: {e}") from e
     validation = perturbation.validate_against_ed(ladder, split)
     scale = split.scale()
     rows_doc = [
@@ -619,20 +622,27 @@ def cmd_rp_verify(conf: Conf, args) -> str:
     h_minus, h_zero, h_plus = rp.split_by_side(H)
     h1, h2 = rp.doubled_hamiltonians(h_minus, h_zero, h_plus, theta)
 
-    target = H if bulk == "symmetric" else h1
-    drawn = [rp.random_even_element(rng, n, max_degree=max_degree) for _ in range(samples)]
-    min_functional = _min_functional(drawn, target, theta, betas, max_degree)
-
-    trace_ok = True
-    worst_margin = -float("inf")
-    for beta in betas:
-        report = rp.trace_bound_check(H, h1, h2, beta=beta)
-        worst_margin = max(worst_margin, report.margin)
-        trace_ok = trace_ok and report.holds
-    try:  # the quadratic cross-check's mode solver rejects extreme weights
+    # extreme weights are rejected by the quadratic cross-check's mode solver,
+    # first, so that they are named as weights rather than as betas
+    try:
         energy = rp.energy_inequality_check(H, h1, h2)
     except ValueError as e:
         raise ConfigError(f"config.cross_weights: {e}") from e
+    # the trace bound makes e^{-beta H} of H, H1 and H2 before the functional
+    # reuses those of H and H1, so a beta that would overflow them stops here
+    trace_ok = True
+    worst_margin = -float("inf")
+    for beta in betas:
+        try:
+            report = rp.trace_bound_check(H, h1, h2, beta=beta)
+        except InvalidSpecError as e:
+            raise ConfigError(f"config.betas: {e}") from e
+        worst_margin = max(worst_margin, report.margin)
+        trace_ok = trace_ok and report.holds
+
+    target = H if bulk == "symmetric" else h1
+    drawn = [rp.random_even_element(rng, n, max_degree=max_degree) for _ in range(samples)]
+    min_functional = _min_functional(drawn, target, theta, betas, max_degree)
 
     if mode == "verify":
         positive = min_functional >= -1e-10

@@ -193,10 +193,6 @@ class GapRow:
     delta_e_exact: float
     abs_err: float | None
     rel_err: float | None
-    # centroid of the labeled block of the ground multiplet; diagnostic only
-    # (converges faster than the subspace minimum, which picks up the full
-    # O(t^4) downward shift of each sector's lowest state)
-    delta_e_multiplet: float | None = None
 
 
 @dataclass(frozen=True)
@@ -216,20 +212,13 @@ def _plaquette_names(ladder: Ladder) -> list[str]:
 
 
 def _sector_minima(ladder: Ladder, h, names, targets):
-    """Ground energies of the ``targets`` sectors, plus multiplet centroids.
+    """Ground energies of the ``targets`` sectors, one tapered block each.
 
-    Every loop-operator block is solved.  The aligned-x ground multiplet is
-    the lowest 2^{2N+1} (open) or 2^{2N} (closed) states; each sector's
-    centroid averages its share of it.  The lifted ground vectors of the
-    targets are labeled afresh as an exact cross-check of the tapering.
+    Only the target blocks are diagonalized.  Their lifted ground vectors
+    are labeled afresh as an exact cross-check of the tapering.
     """
-    N = ladder.n_cells
-    mult = 1 << (2 * N + 1) if ladder.boundary is Boundary.OPEN else 1 << (2 * N)
     ops = {name: spin_ed.vortex_operator(ladder, name) for name in names}
     tapering = spin_ed.taper(h, ops)
-    spectra = {key: spin_ed.dense_spectrum(block).eigenvalues for key, block in tapering.blocks.items()}
-    top = np.sort(np.concatenate(list(spectra.values())))[mult - 1]  # multiplet edge
-    centroids = {key: float(np.mean(w[w <= top])) for key, w in spectra.items() if w[0] <= top}
     grounds = {key: spin_ed.dense_lowest(tapering.blocks[key], 1) for key in targets}
     minima = {key: float(rep.eigenvalues[0]) for key, rep in grounds.items()}
     vectors = np.column_stack([tapering.lift(key, grounds[key].vectors) for key in targets])
@@ -239,7 +228,7 @@ def _sector_minima(ladder: Ladder, h, names, targets):
     for idx, key in enumerate(targets):
         if tuple(int(report.labels[name][idx]) for name in names) != key:
             raise LabelingError(f"lifted ground vector of sector {key} carries other labels")
-    return minima, centroids
+    return minima
 
 
 def validate_against_ed(ladder: Ladder, split: PerturbationSplit) -> PerturbationValidation:
@@ -249,9 +238,10 @@ def validate_against_ed(ladder: Ladder, split: PerturbationSplit) -> Perturbatio
     between the "only B_k = -1" labeled subspace and the all-(+1) subspace
     (on rings the big-loop label is minimized over, matching the formulas,
     which carry no big-loop term).  At every size up to the 16-spin guard
-    the subspaces are the exact plaquette-label blocks of ``spin_ed.taper``:
-    at 16 spins 128 blocks on 9 qubits (open) or 256 on 8 (closed), all
-    under the dense guard.  Nothing is random, so no seed is needed.
+    the subspaces are the exact plaquette-label blocks of ``spin_ed.taper``
+    (at 16 spins 128 blocks on 9 qubits open, 256 on 8 closed), and only the
+    1 + #plaquettes blocks reported here are diagonalized.  A zero exact gap
+    leaves ``rel_err`` as None.  Nothing is random, so no seed is needed.
     """
     split.validate_for(ladder)
     if ladder.n_sites > 16:
@@ -261,20 +251,17 @@ def validate_against_ed(ladder: Ladder, split: PerturbationSplit) -> Perturbatio
     names = _plaquette_names(ladder)
     free = tuple(1 for _ in names)
     flips = [tuple(-1 if q == pos else 1 for q in range(len(names))) for pos in range(len(names))]
-    minima, centroids = _sector_minima(ladder, h, names, [free, *flips])
+    minima = _sector_minima(ladder, h, names, [free, *flips])
 
     e_free = minima[free]
     rows = []
     for name, target in zip(names, flips):
         exact = minima[target] - e_free
-        multiplet = None
-        if target in centroids and free in centroids:
-            multiplet = centroids[target] - centroids[free]
         formula = result.gaps.get(name)
         if formula is None:
-            rows.append(GapRow(name, None, exact, None, None, multiplet))
+            rows.append(GapRow(name, None, exact, None, None))
         else:
             abs_err = abs(exact - formula)
-            rel = abs_err / abs(exact) if exact != 0 else float("inf")
-            rows.append(GapRow(name, formula, exact, abs_err, rel, multiplet))
+            rel = abs_err / abs(exact) if exact != 0 else None
+            rows.append(GapRow(name, formula, exact, abs_err, rel))
     return PerturbationValidation(e_free, tuple(rows))

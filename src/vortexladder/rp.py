@@ -34,6 +34,7 @@ from .spin_ed import PauliString, SpinOperator
 
 MAX_FOCK_MAJORANAS = 16
 SYMMETRY_TOL = 1e-10
+GIBBS_EXPONENT_LIMIT = 600.0  # largest -beta * E in e^{-beta H}; see _gibbs_state
 
 
 @dataclass(frozen=True)
@@ -252,8 +253,22 @@ def _hermitian_matrix(h: MajoranaPolynomial) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _gibbs_state(n: int, terms: tuple, beta: float) -> np.ndarray:
+    """e^{-beta H} from the unshifted eigenvalues w of H.
+
+    Raises InvalidSpecError when the largest exponent -beta w exceeds
+    GIBBS_EXPONENT_LIMIT = 600, below log(finfo(float64).max) ~ 709.8.  The
+    110 e-folds left (e^110 ~ 6e47) cover the sums that the trace, the Gram
+    matrix and the functional take over at most 256 basis states and 128
+    monomials with coefficients of order one.  Shifting by the ground energy
+    would lift the bound but change every value computed from the state.
+    """
     w, v = np.linalg.eigh(_hermitian_matrix(MajoranaPolynomial(n, dict(terms))))
-    state = (v * np.exp(-beta * w)) @ v.conj().T
+    exponent = -beta * w
+    if exponent.max() > GIBBS_EXPONENT_LIMIT:
+        raise InvalidSpecError(
+            f"beta = {beta} puts e^{exponent.max():.4g} in e^(-beta H), over the e^{GIBBS_EXPONENT_LIMIT:g} limit"
+        )
+    state = (v * np.exp(exponent)) @ v.conj().T
     state.flags.writeable = False
     return state
 

@@ -545,8 +545,16 @@ NON_FINITE = {
                            []),
     "rp-huge-cross-weight": ("rp-verify", '{"majoranas": 8, "samples": 5, "seed": 3, '
                              '"cross_weights": [1e300, 1, 1, 1]}', []),
+    # e^{-beta H} would overflow: beta |E0| is about 2.1e3 at beta = 400, and 1e3 at
+    # the default beta = 1 with a cross weight of 1e3
+    "rp-gibbs-overflow-beta": ("rp-verify", '{"majoranas": 8, "samples": 3, "seed": 3, "betas": [400]}',
+                               []),
+    "rp-gibbs-overflow-weight": ("rp-verify", '{"majoranas": 8, "samples": 5, "seed": 3, '
+                                 '"cross_weights": [1e3, 1, 1, 1]}', []),
     "perturb-guard-nan": ("perturb", '{"ladder": {"cells": 2}, "seed": 1, "jx": 1.0, "t": 0.01, '
                           '"ratio_guard": NaN}', []),
+    "perturb-closed-n2": ("perturb", '{"ladder": {"cells": 2, "boundary": "closed"}, "jx": 1.0, '
+                          '"t": 0.02}', []),
     "perturb-huge-int": ("perturb", '{"ladder": {"cells": 2}, "seed": 1, "jx": 1' + "0" * 400
                          + ', "t": 0.01}', []),
     "perturb-digit-limit": ("perturb", '{"ladder": {"cells": 2}, "seed": 1, "jx": 1' + "0" * 5000
@@ -571,8 +579,10 @@ def test_non_finite_and_negative_values_are_config_errors(tmp_path, capsys, case
     assert cli.main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
-    if case == "rp-huge-cross-weight":
-        assert "config.cross_weights" in err
+    path = {"rp-huge-cross-weight": "config.cross_weights", "rp-gibbs-overflow-beta": "config.betas",
+            "rp-gibbs-overflow-weight": "config.betas", "perturb-closed-n2": "config.ladder"}
+    if case in path:
+        assert path[case] in err
     assert not out.exists()
 
 

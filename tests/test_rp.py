@@ -443,6 +443,26 @@ def test_reflection_gram_rejects_what_rp_functional_rejects():
             reflection_gram(h, t)
 
 
+def test_gibbs_state_that_would_overflow_is_rejected():
+    n = 4
+    theta = mirror_theta(n)
+    h = quadratic(n, {(1, 2): 0.5, (3, 4): 0.5, (2, 3): 1.0})
+    b = MajoranaPolynomial(n, {(1, 2): 1.0})
+    e0 = float(np.linalg.eigvalsh(h.to_matrix())[0])
+    hot = (rp.GIBBS_EXPONENT_LIMIT + 1) / -e0
+    with pytest.raises(InvalidSpecError, match="limit"):
+        rp_functional(b, h, theta, beta=hot)
+    with pytest.raises(InvalidSpecError, match="limit"):
+        reflection_gram(h, theta, hot)
+    with pytest.raises(InvalidSpecError, match="limit"):
+        trace_bound_check(h, h, h, beta=hot)
+    # just inside the limit every value is still finite
+    cold = (rp.GIBBS_EXPONENT_LIMIT - 1) / -e0
+    assert np.isfinite(rp_functional(b, h, theta, beta=cold))
+    assert np.isfinite(reflection_gram(h, theta, cold)).all()
+    assert np.isfinite(trace_bound_check(h, h, h, beta=cold).margin)
+
+
 def test_reflection_gram_checks_hermiticity(monkeypatch):
     n = 8
     theta = mirror_theta(n)
