@@ -247,6 +247,8 @@ def cmd_spectrum(conf: Conf, args) -> str:
     else:
         seed = _resolve_seed(args, conf)
         k = conf.get("k", int)
+        if k < 1:
+            raise ConfigError(f"config.k: must be >= 1, got {k}")
         h = spin_ed.build_spin_hamiltonian(ladder, couplings)
         values = spin_ed.lowest_eigenvalues(h, k=k, seed=seed).eigenvalues
 

@@ -36,6 +36,7 @@ takes about log2(2N) vectorized levels.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -55,6 +56,7 @@ from .lattice import Bond, BondType, Boundary, Ladder
 
 MAX_EXPANSION_MODES = 24   # guard for the 2^m many-body expansion
 MAX_SWEEP_BASIS = 30       # guard for full sector sweeps
+SWEEP_CHUNK = 4096         # sectors per stacked SVD in a sweep
 MAX_SCAN_CELLS = 100       # guard for gap scans over N
 PAIR_TOL = 1e-8            # relative tolerance for singular-value pairing
 GAP_LOG_STEP = 0.25        # trapezoid step in log(x) for twisted_wrap_gap
@@ -192,11 +194,12 @@ def ground_energy(modes: ModeSpectrum) -> float:
     return -float(_mode_sum(modes.eps))
 
 
-def many_body_spectrum(modes: ModeSpectrum, guard: int = MAX_EXPANSION_MODES) -> np.ndarray:
+def many_body_spectrum(modes: ModeSpectrum) -> np.ndarray:
     """All 2^m sums of +-eps_k, ascending (unconstrained; see module note)."""
     eps = modes.eps
-    if len(eps) > guard:
-        raise GuardExceededError(f"2^{len(eps)} level expansion exceeds guard ({guard})")
+    if len(eps) > MAX_EXPANSION_MODES:
+        raise GuardExceededError(
+            f"2^{len(eps)} level expansion exceeds guard ({MAX_EXPANSION_MODES})")
     levels = np.zeros(1)
     for e in eps:
         levels = np.concatenate([levels - e, levels + e])
@@ -275,19 +278,18 @@ class _SweepRows(Sequence[SweepRow]):
 def _map_sectors(
     ladder: Ladder,
     couplings: CouplingConfig,
-    guard: int,
     reduce: Callable[[np.ndarray], object],
     threads: int | None = None,
-    chunk: int = 4096,
 ) -> list:
-    """``reduce`` of the (len, 2N) mode energies of each chunk of sector ids,
-    in ascending id order.  A sector's block M is the all-(+1) one with the
-    entry of each co-tree bond that its ``gauge_for_sector`` gauge flips
-    negated."""
+    """``reduce`` of the (len, 2N) mode energies of each chunk of
+    SWEEP_CHUNK sector ids, in ascending id order.  A sector's block M is
+    the all-(+1) one with the entry of each co-tree bond that its
+    ``gauge_for_sector`` gauge flips negated.  Chunks run on at most
+    min(threads, #chunks, #CPUs) threads; results do not depend on it."""
     couplings.validate_for(ladder)
     n = len(ladder.cycle_names)
-    if n > guard:
-        raise GuardExceededError(f"2^{n} sectors exceeds the sweep guard ({guard})")
+    if n > MAX_SWEEP_BASIS:
+        raise GuardExceededError(f"2^{n} sectors exceeds the sweep guard ({MAX_SWEEP_BASIS})")
     _check_bipartite(couplings)
     m0 = assemble_skew(ladder, couplings, GaugeConfig.all_plus(ladder)).matrix[0::2, 1::2]
     cotree, (x0, *units) = gauge_mod.cotree_flips(ladder, [0, *(1 << b for b in range(n))])
@@ -295,46 +297,37 @@ def _map_sectors(
     bonds = np.arange(len(cotree))
 
     def run_chunk(lo: int):
-        sids = np.arange(lo, min(lo + chunk, 1 << n), dtype=np.int64)
+        sids = np.arange(lo, min(lo + SWEEP_CHUNK, 1 << n), dtype=np.int64)
         xs = np.bitwise_xor.reduce(((sids[:, None] >> np.arange(n)) & 1) * toggles, axis=1) ^ x0
         flips = ((xs[:, None] >> bonds) & 1).astype(bool)
         return reduce(_singular_values(_flipped_blocks(m0, cotree, flips)))
 
-    starts = range(0, 1 << n, chunk)
-    if threads is not None and threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    starts = range(0, 1 << n, SWEEP_CHUNK)
+    workers = min(threads or 1, len(starts), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_chunk, starts))
     return [run_chunk(lo) for lo in starts]
 
 
 def sector_sweep(
-    ladder: Ladder,
-    couplings: CouplingConfig,
-    guard: int = MAX_SWEEP_BASIS,
-    threads: int | None = None,
-    chunk: int = 4096,
+    ladder: Ladder, couplings: CouplingConfig, threads: int | None = None
 ) -> SweepResult:
     """Ground energy of every vortex sector, sorted by (energy, sector id)."""
     energies = np.concatenate(
-        _map_sectors(ladder, couplings, guard, lambda eps: -_mode_sum(eps), threads, chunk))
+        _map_sectors(ladder, couplings, lambda eps: -_mode_sum(eps), threads))
     order = np.argsort(energies, kind="stable")  # ties stay in ascending id order
     return SweepResult(ladder, order, energies[order])
 
 
-def sector_union_spectrum(
-    ladder: Ladder,
-    couplings: CouplingConfig,
-    guard: int = MAX_SWEEP_BASIS,
-    expansion_guard: int = MAX_EXPANSION_MODES,
-) -> np.ndarray:
+def sector_union_spectrum(ladder: Ladder, couplings: CouplingConfig) -> np.ndarray:
     """Sorted concatenation of every sector's many-body levels."""
     modes = ladder.n_sites // 2
-    if modes > expansion_guard:
-        raise GuardExceededError(f"2^{modes} level expansion exceeds guard ({expansion_guard})")
+    if modes > MAX_EXPANSION_MODES:
+        raise GuardExceededError(
+            f"2^{modes} level expansion exceeds guard ({MAX_EXPANSION_MODES})")
     parts = _map_sectors(
-        ladder, couplings, guard,
-        lambda eps: [many_body_spectrum(ModeSpectrum(e), guard=expansion_guard) for e in eps],
-    )
+        ladder, couplings, lambda eps: [many_body_spectrum(ModeSpectrum(e)) for e in eps])
     out = np.concatenate([levels for part in parts for levels in part])
     out.sort()
     return out

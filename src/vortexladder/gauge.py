@@ -29,7 +29,7 @@ from .errors import (
 )
 from .lattice import Ladder, Loop
 
-MAX_SECTOR_BASIS = 30  # default guard for full sector enumeration
+MAX_SECTOR_BASIS = 30  # guard for full sector enumeration
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,6 @@ class GaugeConfig:
     def all_plus(cls, ladder: Ladder) -> "GaugeConfig":
         return cls({b.pair: 1 for b in ladder.bonds})
 
-    def to_json_dict(self) -> dict:
-        return {"u": [[i, j, s] for (i, j), s in sorted(self.u.items())]}
-
-    @classmethod
-    def from_json_dict(cls, doc: Mapping, ladder: Ladder) -> "GaugeConfig":
-        u = {(int(i), int(j)): int(s) for i, j, s in doc["u"]}
-        if set(u) != set(ladder.bond_map):
-            raise InvalidSpecError("gauge document does not cover exactly the bonds")
-        return cls(u)
-
 
 @dataclass(frozen=True)
 class SignAssignment:
@@ -91,9 +81,6 @@ class VortexSector:
 
     values: Mapping[str, int]
     sector_id: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {"cycles": dict(self.values)}
 
 
 def vortex_value(gauge: GaugeConfig, loop: Loop) -> int:
@@ -144,11 +131,12 @@ def sector_from_id(ladder: Ladder, sid: int) -> VortexSector:
     return VortexSector(values, sid)
 
 
-def enumerate_sectors(ladder: Ladder, guard: int = MAX_SECTOR_BASIS) -> Iterator[VortexSector]:
+def enumerate_sectors(ladder: Ladder) -> Iterator[VortexSector]:
     """All sectors in ascending sector-id (counter) order."""
     n = len(ladder.cycle_names)
-    if n > guard:
-        raise GuardExceededError(f"2^{n} sectors exceeds the enumeration guard ({guard})")
+    if n > MAX_SECTOR_BASIS:
+        raise GuardExceededError(
+            f"2^{n} sectors exceeds the enumeration guard ({MAX_SECTOR_BASIS})")
     for sid in range(1 << n):
         yield sector_from_id(ladder, sid)
 

@@ -95,13 +95,6 @@ class Ladder:
         """0 for the bottom rail, 1 for the top rail."""
         return 0 if (site - 1) % 4 in (0, 3) else 1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_cells": self.n_cells,
-            "boundary": self.boundary.value,
-            "bonds": [[b.i, b.j, b.kind.value] for b in self.bonds],
-        }
-
 
 def build_ladder(n_cells: int, boundary: Boundary | str = Boundary.OPEN) -> Ladder:
     """Construct the ladder with N cells and the requested boundary.
@@ -150,20 +143,6 @@ def build_ladder(n_cells: int, boundary: Boundary | str = Boundary.OPEN) -> Ladd
         cycles["big"] = tuple(big)
 
     return Ladder(N, boundary, tuple(bonds), cycles)
-
-
-def ladder_from_json_dict(doc: Mapping) -> Ladder:
-    """Rebuild a ladder from its canonical serialization, verifying bonds."""
-    try:
-        ladder = build_ladder(doc["n_cells"], doc["boundary"])
-    except KeyError as e:
-        raise InvalidSpecError(f"ladder document missing key {e}") from None
-    if "bonds" in doc:
-        given = sorted((int(i), int(j), str(t)) for i, j, t in doc["bonds"])
-        built = [[b.i, b.j, b.kind.value] for b in ladder.bonds]
-        if [list(g) for g in given] != built:
-            raise InvalidSpecError("bond list does not match the declared ladder")
-    return ladder
 
 
 class ReflectionCase(str, Enum):

@@ -222,11 +222,9 @@ def _sector_minima(ladder: Ladder, h, names, targets):
     grounds = {key: spin_ed.dense_lowest(tapering.blocks[key], 1) for key in targets}
     minima = {key: float(rep.eigenvalues[0]) for key, rep in grounds.items()}
     vectors = np.column_stack([tapering.lift(key, grounds[key].vectors) for key in targets])
-    report = spin_ed.label_eigenstates(
-        h, ops, spin_ed.SpectrumReport("tapered", np.array([minima[k] for k in targets]), vectors=vectors)
-    )
+    labels = spin_ed.label_eigenstates(h, ops, vectors)
     for idx, key in enumerate(targets):
-        if tuple(int(report.labels[name][idx]) for name in names) != key:
+        if tuple(int(labels[name][idx]) for name in names) != key:
             raise LabelingError(f"lifted ground vector of sector {key} carries other labels")
     return minima
 

@@ -464,16 +464,10 @@ def even_monomials(indices: Iterable[int], max_degree: int = 4) -> list[tuple[in
     return [mono for deg in range(0, max_degree + 1, 2) for mono in combinations(idx, deg)]
 
 
-def random_even_element(
-    rng: np.random.Generator, n: int, max_degree: int = 4, side: str = "negative"
-) -> MajoranaPolynomial:
-    """Even polynomial supported on one half, uniform complex coefficients."""
-    if side not in ("negative", "positive"):
-        raise InvalidSpecError(f"side must be 'negative' or 'positive', got {side!r}")
-    half = negative_half(n)
-    indices = sorted(half) if side == "negative" else sorted(set(range(1, n + 1)) - half)
+def random_even_element(rng: np.random.Generator, n: int, max_degree: int = 4) -> MajoranaPolynomial:
+    """Even polynomial supported on the negative half, uniform complex coefficients."""
     terms = {
         mono: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        for mono in even_monomials(indices, max_degree)
+        for mono in even_monomials(negative_half(n), max_degree)
     }
     return MajoranaPolynomial(n, terms)

@@ -22,7 +22,7 @@ labels and lifts do not depend on the storage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -165,10 +165,12 @@ class SpinOperator:
     def equals(self, other: "SpinOperator") -> bool:
         return self.n_sites == other.n_sites and (self - other).is_zero
 
-    def is_hermitian(self, tol: float = 0.0) -> bool:
+    def is_hermitian(self) -> bool:
+        """Whether every coefficient equals its Hermitian-conjugate partner
+        exactly.  A NaN coefficient passes: its difference compares false."""
         for (x, z), c in self.terms.items():
             want = np.conj(c) * (-1.0 if (x & z).bit_count() & 1 else 1.0)
-            if abs(c - want) > tol:
+            if abs(c - want) > 0.0:
                 return False
         return True
 
@@ -185,10 +187,10 @@ class SpinOperator:
     def dim(self) -> int:
         return 1 << self.n_sites
 
-    def to_dense(self, guard: int = MAX_DENSE_SPINS) -> np.ndarray:
-        if self.n_sites > guard:
+    def to_dense(self) -> np.ndarray:
+        if self.n_sites > MAX_DENSE_SPINS:
             raise GuardExceededError(
-                f"{self.n_sites} spins exceeds the dense guard ({guard})"
+                f"{self.n_sites} spins exceeds the dense guard ({MAX_DENSE_SPINS})"
             )
         dim = self.dim
         cols = np.arange(dim)
@@ -298,43 +300,26 @@ def cycle_operators(ladder: Ladder) -> dict[str, SpinOperator]:
 class SpectrumReport:
     method: str
     eigenvalues: np.ndarray
-    labels: dict[str, np.ndarray] | None = None
     vectors: np.ndarray | None = None      # dim x n, column i <-> eigenvalue i
     residuals: np.ndarray | None = None
 
-    def to_json_dict(self) -> dict:
-        doc: dict = {
-            "method": self.method,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "labels": None,
-        }
-        if self.labels is not None:
-            doc["labels"] = {k: [int(v) for v in arr] for k, arr in self.labels.items()}
-        return doc
 
-
-def dense_spectrum(
-    h: SpinOperator, with_vectors: bool = False, guard: int = MAX_DENSE_SPINS
-) -> SpectrumReport:
-    """Full spectrum by dense diagonalization (2^{4N} <= 4096 by default)."""
-    if not h.is_hermitian(tol=0.0):
+def dense_spectrum(h: SpinOperator) -> SpectrumReport:
+    """Full spectrum by dense diagonalization (2^{4N} <= 4096)."""
+    if not h.is_hermitian():
         raise MalformedMatrixError("operator is not Hermitian")
-    mat = h.to_dense(guard=guard)
-    if with_vectors:
-        w, v = np.linalg.eigh(mat)
-        return SpectrumReport("dense", w, vectors=v)
-    return SpectrumReport("dense", np.linalg.eigvalsh(mat))
+    return SpectrumReport("dense", np.linalg.eigvalsh(h.to_dense()))
 
 
-def dense_lowest(h: SpinOperator, k: int, guard: int = MAX_DENSE_SPINS) -> SpectrumReport:
+def dense_lowest(h: SpinOperator, k: int) -> SpectrumReport:
     """Lowest k eigenpairs of the dense matrix (k is capped at the dimension)."""
     if k < 1:
         raise GuardExceededError(f"k={k} must be >= 1")
-    if not h.is_hermitian(tol=0.0):
+    if not h.is_hermitian():
         raise MalformedMatrixError("operator is not Hermitian")
     import scipy.linalg  # imported here: scipy costs every other CLI process ~0.4 s
 
-    mat = h.to_dense(guard=guard)
+    mat = h.to_dense()
     k = min(k, mat.shape[0])
     w, v = scipy.linalg.eigh(mat, subset_by_index=(0, k - 1))
     return SpectrumReport("dense", w, vectors=v)
@@ -347,14 +332,12 @@ def lowest_eigenvalues(h: SpinOperator, k: int, seed: int) -> SpectrumReport:
         raise GuardExceededError(f"{h.n_sites} spins exceeds the guard ({MAX_ITER_SPINS})")
     if not (1 <= k <= MAX_ITER_K):
         raise GuardExceededError(f"k={k} outside 1..{MAX_ITER_K}")
-    if not h.is_hermitian(tol=0.0):
+    if not h.is_hermitian():
         raise MalformedMatrixError("operator is not Hermitian")
     applier = h.compiled()
     dim = applier.dim
     if k >= dim - 1:  # ARPACK needs k < dim - 1; tiny problems go dense
-        rep = dense_spectrum(h, with_vectors=True, guard=MAX_DENSE_SPINS)
-        rep.eigenvalues = rep.eigenvalues[:k]
-        rep.vectors = rep.vectors[:, :k]
+        rep = dense_lowest(h, k)
         rep.residuals = np.zeros(len(rep.eigenvalues))
         return rep
     import scipy.sparse.linalg  # imported here, as in dense_lowest
@@ -499,27 +482,24 @@ def block_spectrum(h: SpinOperator, ops: Mapping[str, SpinOperator]) -> np.ndarr
 # labels
 
 def label_eigenstates(
-    h: SpinOperator, vortex_ops: Mapping[str, SpinOperator], report: SpectrumReport
-) -> SpectrumReport:
-    """Attach a +-1 label per loop operator to every state in the report.
+    h: SpinOperator, vortex_ops: Mapping[str, SpinOperator], vectors: np.ndarray
+) -> dict[str, np.ndarray]:
+    """A +-1 label per loop operator for every column of ``vectors``.
 
     Each label is read off <v|B|v>, so every vector must be a normalized
     eigenvector of every loop operator: a value further than 1e-6 from +-1
     (say, a mixture of two sectors) raises LabelingError, as does an
     operator that does not commute with H exactly.
     """
-    if report.vectors is None:
-        raise LabelingError("report carries no eigenvectors to label")
-    vecs = report.vectors
     labels = {}
     for name, op in vortex_ops.items():
         if not h.commutator(op).is_zero:
             raise LabelingError(f"operator {name} does not commute with H")
-        values = np.real(np.sum(vecs.conj() * op.compiled().matmat(vecs), axis=0))
+        values = np.real(np.sum(vectors.conj() * op.compiled().matmat(vectors), axis=0))
         if np.max(np.abs(np.abs(values) - 1.0), initial=0.0) > 1e-6:
             raise LabelingError(f"states do not resolve into +-1 labels for {name}")
         labels[name] = np.where(values > 0, 1, -1)
-    return replace(report, labels=labels)
+    return labels
 
 
 # ---------------------------------------------------------------------------

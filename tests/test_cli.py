@@ -490,6 +490,14 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert "guard exceeded" in capsys.readouterr().err
     assert not out.exists()  # failure leaves no artifact behind
 
+    many_k = write_config(
+        tmp_path,
+        {"ladder": {"cells": 2}, "couplings": HOMOG, "method": "spin-iterative", "k": 65, "seed": 1},
+        name="manyk.json",
+    )
+    assert cli.main(["spectrum", "--config", many_k]) == 3  # k above 64 is a size guard
+    assert "guard exceeded" in capsys.readouterr().err
+
     scan = write_config(
         tmp_path,
         {"ladder": {"boundary": "closed"}, "cells_range": [4, 101],
@@ -567,6 +575,11 @@ NON_FINITE = {
                               '{"preset": "homogeneous-xyz"}}', ["--tolerance", "-1"]),
     "compare-flag-nan": ("compare", '{"ladder": {"cells": 2}, "couplings": '
                          '{"preset": "homogeneous-xyz"}}', ["--tolerance", "nan"]),
+    "spectrum-k-zero": ("spectrum", '{"ladder": {"cells": 2}, "couplings": {"preset": '
+                        '"homogeneous-xyz"}, "method": "spin-iterative", "k": 0, "seed": 1}', []),
+    "spectrum-k-negative": ("spectrum", '{"ladder": {"cells": 2}, "couplings": {"preset": '
+                            '"homogeneous-xyz"}, "method": "spin-iterative", "k": -3, "seed": 1}',
+                            []),
 }
 
 
@@ -580,7 +593,8 @@ def test_non_finite_and_negative_values_are_config_errors(tmp_path, capsys, case
     err = capsys.readouterr().err
     assert "config error" in err
     path = {"rp-huge-cross-weight": "config.cross_weights", "rp-gibbs-overflow-beta": "config.betas",
-            "rp-gibbs-overflow-weight": "config.betas", "perturb-closed-n2": "config.ladder"}
+            "rp-gibbs-overflow-weight": "config.betas", "perturb-closed-n2": "config.ladder",
+            "spectrum-k-zero": "config.k", "spectrum-k-negative": "config.k"}
     if case in path:
         assert path[case] in err
     assert not out.exists()

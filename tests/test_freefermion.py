@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from vortexladder import freefermion
 from vortexladder.errors import (
     GuardExceededError,
     InconsistentSectorError,
@@ -136,10 +137,10 @@ def test_sector_sweep_agrees_with_per_sector_solves():
 
 def test_sector_sweep_threading_is_deterministic():
     rng = np.random.default_rng(23)
-    lad = build_ladder(3, "closed")
+    lad = build_ladder(6, "closed")  # 2^13 sectors: two chunks
     cc = random_couplings(lad, rng)
     serial = sector_sweep(lad, cc, threads=None)
-    threaded = sector_sweep(lad, cc, threads=2, chunk=16)
+    threaded = sector_sweep(lad, cc, threads=2)
     assert [r.sector.sector_id for r in serial.rows] == [
         r.sector.sector_id for r in threaded.rows
     ]
@@ -147,6 +148,48 @@ def test_sector_sweep_threading_is_deterministic():
         np.array([r.energy for r in serial.rows]),
         np.array([r.energy for r in threaded.rows]),
     )
+
+
+def test_sweep_thread_pool_is_capped(monkeypatch):
+    """The pool gets min(threads, #chunks, #CPUs) workers.  The recorder
+    runs every chunk serially, so no thread is started."""
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(freefermion, "ThreadPoolExecutor", SerialPool)
+    rng = np.random.default_rng(37)
+    wide = build_ladder(6, "closed")  # 2^13 sectors: two chunks
+    narrow = build_ladder(3, "closed")  # 2^7 sectors: one chunk
+    cases = [  # ladder, threads, CPUs, pool sizes
+        (wide, 10**6, 64, [2]),
+        (wide, 10**6, 1, []),
+        (wide, 10**6, None, []),
+        (wide, 2, 64, [2]),
+        (wide, 1, 64, []),
+        (wide, None, 64, []),
+        (narrow, 10**6, 64, []),
+    ]
+    for lad, threads, cpus, want in cases:
+        cc = random_couplings(lad, rng)
+        serial = sector_sweep(lad, cc)
+        pools.clear()
+        monkeypatch.setattr(freefermion.os, "cpu_count", lambda: cpus)
+        got = sector_sweep(lad, cc, threads=threads)
+        assert pools == want, (lad.n_cells, threads, cpus)
+        assert np.array_equal(got.sector_ids, serial.sector_ids)
+        assert np.array_equal(got.energies, serial.energies)
 
 
 def test_batched_sector_gauges_match_gauge_for_sector(monkeypatch):

@@ -184,16 +184,6 @@ def test_gauge_for_sector_accepts_plain_mapping():
     assert sec.values == {"p1": -1, "p2": 1, "p3": -1}
 
 
-def test_gauge_json_round_trip():
-    lad = build_ladder(2, "closed")
-    g = gauge_for_sector(lad, sector_from_id(lad, 19))
-    doc = g.to_json_dict()
-    assert GaugeConfig.from_json_dict(doc, lad) == g
-    doc["u"] = doc["u"][:-1]
-    with pytest.raises(InvalidSpecError):
-        GaugeConfig.from_json_dict(doc, lad)
-
-
 def gauss_jordan_gf2(rows, rhs):
     """Oracle: the dense Gauss-Jordan elimination over GF(2) that
     ``_solve_gf2`` replaced; row r carries b_k's bit r at bit n+k."""

@@ -14,7 +14,6 @@ from vortexladder.lattice import (
     Boundary,
     ReflectionCase,
     build_ladder,
-    ladder_from_json_dict,
     reflection,
     symmetric_loops,
 )
@@ -144,20 +143,6 @@ def test_bond_between_rejects_non_bonds():
     assert lad.bond_between(4, 3).kind is BondType.Z
     with pytest.raises(InvalidLoopError):
         lad.bond_between(1, 3)
-
-
-def test_json_round_trip_and_tamper_detection():
-    for bnd in ("open", "closed"):
-        lad = build_ladder(3, bnd)
-        doc = lad.to_json_dict()
-        again = ladder_from_json_dict(doc)
-        assert again == lad
-    doc = build_ladder(2, "open").to_json_dict()
-    doc["bonds"][0][2] = "y"  # retype a z bond
-    with pytest.raises(InvalidSpecError):
-        ladder_from_json_dict(doc)
-    with pytest.raises(InvalidSpecError):
-        ladder_from_json_dict({"n_cells": 2})
 
 
 def test_reflection_horizontal_n2():

@@ -285,10 +285,6 @@ def test_random_even_element_support_and_determinism():
     assert a.terms == b.terms
     assert a.is_even
     assert a.support() <= negative_half(n)
-    pos = random_even_element(np.random.default_rng(5), n, side="positive")
-    assert pos.support() <= {5, 6, 7, 8}
-    with pytest.raises(InvalidSpecError):
-        random_even_element(np.random.default_rng(5), 4, side="positve")
 
 
 def test_generator_strings_are_exact_majoranas():

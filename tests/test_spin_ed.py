@@ -22,7 +22,6 @@ from vortexladder.gauge import enumerate_sectors, gauge_for_sector
 from vortexladder.lattice import build_ladder
 from vortexladder.spin_ed import (
     PauliString,
-    SpectrumReport,
     SpinOperator,
     _restrict,
     _rotate,
@@ -198,30 +197,35 @@ def test_iterative_lowest_matches_dense():
         chain.add_string(sigma("x", s), -0.4)
     fb = lowest_eigenvalues(chain, k=63, seed=3)
     want = dense_spectrum(chain).eigenvalues[:63]
+    assert fb.method == "dense"
     assert np.allclose(fb.eigenvalues, want, atol=1e-9)
+    assert fb.vectors.shape == (64, 63)
+    assert np.array_equal(fb.residuals, np.zeros(63))
+    resid = chain.to_dense() @ fb.vectors - fb.vectors * fb.eigenvalues
+    assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-10
 
 
-def _lifted_report(lad, h):
-    """Every eigenpair of every loop-operator block, lifted to the full basis,
-    with the block key each vector came from."""
+def _lifted_eigenpairs(lad, h):
+    """Every eigenpair of every loop-operator block, the vectors lifted to
+    the full basis, with the block key each vector came from."""
     tap = taper(h, cycle_operators(lad))
     values, vectors, keys = [], [], []
     for key, block in tap.blocks.items():
-        rep = dense_spectrum(block, with_vectors=True)
+        rep = dense_lowest(block, block.dim)
         values.append(rep.eigenvalues)
         vectors.append(tap.lift(key, rep.vectors))
         keys += [key] * len(rep.eigenvalues)
-    return SpectrumReport("tapered", np.concatenate(values), vectors=np.hstack(vectors)), keys
+    return np.concatenate(values), np.hstack(vectors), keys
 
 
 def test_label_eigenstates_block_sizes():
     lad = build_ladder(2, "open")
     cc = CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3)
     h = build_spin_hamiltonian(lad, cc)
-    report, keys = _lifted_report(lad, h)
-    rep = label_eigenstates(h, cycle_operators(lad), report)
-    assert set(rep.labels) == {"p1", "p2", "p3"}
-    labeled = list(zip(*(rep.labels[n].tolist() for n in ("p1", "p2", "p3"))))
+    _, vectors, keys = _lifted_eigenpairs(lad, h)
+    labels = label_eigenstates(h, cycle_operators(lad), vectors)
+    assert set(labels) == {"p1", "p2", "p3"}
+    labeled = list(zip(*(labels[n].tolist() for n in ("p1", "p2", "p3"))))
     assert labeled == keys  # each lifted vector carries its block's labels
     counts = {}
     for key in labeled:
@@ -235,12 +239,12 @@ def test_labeled_minima_match_fermionic_sector_grounds():
     lad = build_ladder(2, "open")
     cc = CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3)
     h = build_spin_hamiltonian(lad, cc)
-    report, _ = _lifted_report(lad, h)
-    rep = label_eigenstates(h, cycle_operators(lad), report)
+    values, vectors, _ = _lifted_eigenpairs(lad, h)
+    labels = label_eigenstates(h, cycle_operators(lad), vectors)
     names = lad.cycle_names
     minima = {}
-    for idx, e in enumerate(rep.eigenvalues):
-        key = tuple(int(rep.labels[n][idx]) for n in names)
+    for idx, e in enumerate(values):
+        key = tuple(int(labels[n][idx]) for n in names)
         minima[key] = min(minima.get(key, np.inf), float(e))
     assert len(minima) == 8
     for sec in enumerate_sectors(lad):
@@ -253,14 +257,14 @@ def test_label_eigenstates_rejects_mixtures_and_takes_empty_maps():
     lad = build_ladder(2, "open")
     h = build_spin_hamiltonian(lad, CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3))
     ops = cycle_operators(lad)
-    report, keys = _lifted_report(lad, h)
+    _, vectors, keys = _lifted_eigenpairs(lad, h)
     i, j = 0, keys.index(next(k for k in keys if k != keys[0]))
-    mix = (report.vectors[:, i] + report.vectors[:, j]) / np.sqrt(2)
+    mix = (vectors[:, i] + vectors[:, j]) / np.sqrt(2)
     with pytest.raises(LabelingError):
-        label_eigenstates(h, ops, SpectrumReport("mix", np.zeros(1), vectors=mix[:, None]))
-    assert label_eigenstates(h, {}, report).labels == {}
+        label_eigenstates(h, ops, mix[:, None])
+    assert label_eigenstates(h, {}, vectors) == {}
     with pytest.raises(LabelingError):  # sigma^x_1 does not commute with H
-        label_eigenstates(h, {"x1": SpinOperator(8).add_string(sigma("x", 1))}, report)
+        label_eigenstates(h, {"x1": SpinOperator(8).add_string(sigma("x", 1))}, vectors)
 
 
 def _random_signed(lad, rng):
@@ -302,7 +306,7 @@ def test_taper_blocks_are_exact(n, boundary):
         levels = many_body_spectrum(
             mode_spectrum(assemble_skew(lad, cc, gauge_for_sector(lad, sec)))
         )
-        rep = dense_spectrum(tap.blocks[key], with_vectors=True)
+        rep = dense_lowest(tap.blocks[key], tap.blocks[key].dim)
         if boundary == "open":  # each fermion level twice
             assert np.max(np.abs(rep.eigenvalues - np.sort(np.repeat(levels, 2)))) <= 1e-10
         else:  # one parity's half of the sector's levels
@@ -386,6 +390,8 @@ def test_operator_misc_and_guards():
     h = SpinOperator(2).add_string(sigma("z", 1), 2.0).add_string(sigma("x", 2), -0.5)
     assert h.coefficient_norm() == pytest.approx(2.5)
     assert not (1.0j * h).is_hermitian()
+    # a NaN coefficient leaves a NaN difference, which does not fail the check
+    assert SpinOperator(1, {(0, 1): np.nan}).is_hermitian()
 
 
 # ---------------------------------------------------------------------------
