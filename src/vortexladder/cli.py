@@ -4,18 +4,25 @@ Every command reads one JSON config (--config), computes, and writes a
 single output file atomically (write to a temp file in the target
 directory, then rename), so a failed run never leaves a partial artifact.
 Identical config + seed gives byte-identical output.  CSV floats carry 17
-significant digits so doubles round-trip exactly.
+significant digits so doubles round-trip exactly.  Each command runs its
+linear algebra on one BLAS thread (``_one_blas_thread``), so the output does
+not depend on the core count or ``OPENBLAS_NUM_THREADS``; ``--threads`` is
+the only parallelism.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import importlib.util
 import json
 import math
 import os
 import sys
 import tempfile
-from typing import Any, Mapping, Sequence
+from pathlib import Path
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -177,7 +184,7 @@ def _resolve_threads(args, conf: Conf) -> int:
     elif conf.has("threads"):
         n = conf.get("threads", int)
     else:
-        n = os.cpu_count() or 1
+        n = freefermion.usable_cpus()
     if n < 1:
         raise ConfigError("threads must be >= 1")
     return n
@@ -668,6 +675,67 @@ def cmd_rp_verify(conf: Conf, args) -> str:
 # ---------------------------------------------------------------------------
 # entry point
 
+# The OpenBLAS builds bundled with the numpy and scipy wheels: package,
+# library directory next to it, and the thread-count symbols ({} is get/set).
+_BUNDLED_BLAS = (
+    ("numpy", "numpy.libs", "scipy_openblas_{}_num_threads64_"),
+    ("scipy", "scipy.libs", "scipy_openblas_{}_num_threads"),
+)
+
+
+def _loaded_blas() -> dict[str, tuple[Any, Any]]:
+    """(get, set) thread-count functions of each bundled OpenBLAS that is
+    already loaded, by path.  ``find_spec`` imports nothing and RTLD_NOLOAD
+    opens only a loaded library, so a library that is not loaded stays so."""
+    found = {}
+    for package, libdir, symbol in _BUNDLED_BLAS:
+        spec = importlib.util.find_spec(package)
+        if spec is None or spec.origin is None:
+            continue
+        for path in sorted((Path(spec.origin).resolve().parent.parent / libdir).glob("*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                get, set_ = getattr(lib, symbol.format("get")), getattr(lib, symbol.format("set"))
+            except (OSError, AttributeError):
+                continue
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            found[str(path)] = (get, set_)
+    return found
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Run the body on one BLAS thread and give the caller its setting back.
+
+    On small matrices a second OpenBLAS thread costs a hand-off per call,
+    and it changes the last bits of the Lanczos paths with the host.  Loaded
+    libraries drop to one thread; ``OPENBLAS_NUM_THREADS=1`` makes a library
+    that the body loads (scipy's) start with one.  On exit the variable and
+    every loaded library are restored; one that the body loaded gets the
+    count the first loaded library had on entry.  Without a loaded bundled
+    OpenBLAS this does nothing."""
+    libs = _loaded_blas()
+    saved = {path: get() for path, (get, _) in libs.items()}
+    if not saved:
+        yield
+        return
+    env = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        for _, set_ in libs.values():
+            set_(1)
+        yield
+    finally:
+        if env is None:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = env
+        first = next(iter(saved.values()))
+        for path, (_, set_) in _loaded_blas().items():
+            set_(saved.get(path, first))
+
+
 _COMMANDS = {
     "spectrum": (cmd_spectrum, "csv"),
     "sweep": (cmd_sweep, "csv"),
@@ -703,7 +771,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.format = default_format
     try:
         conf = _load_config(args.config)
-        text = runner(conf, args)
+        with _one_blas_thread():
+            text = runner(conf, args)
         _emit(text, args.out)
         return 0
     except ConfigError as e:

@@ -275,6 +275,14 @@ class _SweepRows(Sequence[SweepRow]):
                         float(result.energies[k]))
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has
+    one (``taskset`` narrows it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_sectors(
     ladder: Ladder,
     couplings: CouplingConfig,
@@ -285,7 +293,8 @@ def _map_sectors(
     SWEEP_CHUNK sector ids, in ascending id order.  A sector's block M is
     the all-(+1) one with the entry of each co-tree bond that its
     ``gauge_for_sector`` gauge flips negated.  Chunks run on at most
-    min(threads, #chunks, #CPUs) threads; results do not depend on it."""
+    min(threads, #chunks, ``usable_cpus()``) threads; results do not
+    depend on it."""
     couplings.validate_for(ladder)
     n = len(ladder.cycle_names)
     if n > MAX_SWEEP_BASIS:
@@ -303,7 +312,7 @@ def _map_sectors(
         return reduce(_singular_values(_flipped_blocks(m0, cotree, flips)))
 
     starts = range(0, 1 << n, SWEEP_CHUNK)
-    workers = min(threads or 1, len(starts), os.cpu_count() or 1)
+    workers = min(threads or 1, len(starts), usable_cpus())
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_chunk, starts))

@@ -167,10 +167,10 @@ class SpinOperator:
 
     def is_hermitian(self) -> bool:
         """Whether every coefficient equals its Hermitian-conjugate partner
-        exactly.  A NaN coefficient passes: its difference compares false."""
+        exactly.  A NaN coefficient fails: NaN equals nothing."""
         for (x, z), c in self.terms.items():
             want = np.conj(c) * (-1.0 if (x & z).bit_count() & 1 else 1.0)
-            if abs(c - want) > 0.0:
+            if c != want:
                 return False
         return True
 

@@ -1,9 +1,12 @@
 """End-to-end command-line checks: schemas, determinism, exit codes."""
 
+import ctypes
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +24,12 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
-def run_cli(*argv):
+def run_cli(*argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "vortexladder", *argv],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -616,3 +620,90 @@ def test_open_compare_loads_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
+
+
+def test_lanczos_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The Lanczos paths (16 spins) write the same bytes whatever
+    OPENBLAS_NUM_THREADS the caller set: commands run BLAS on one thread."""
+    closed = {"ladder": {"cells": 4, "boundary": "closed"}, "couplings": HOMOG, "seed": 3}
+    configs = {
+        "compare": write_config(tmp_path, closed),
+        "spectrum": write_config(tmp_path, {**closed, "method": "spin-iterative", "k": 4},
+                                 name="iterative.json"),
+    }
+    for command, cfg in configs.items():
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{command}-{threads}.json"
+            proc = run_cli(command, "--config", cfg, "--format", "json", "--out", str(out),
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], command
+
+
+def _loaded_openblas():
+    """(get, set) thread-count functions of the loaded OpenBLAS builds
+    bundled with numpy and scipy, by file name, found independently of
+    ``cli._loaded_blas``."""
+    found = {}
+    for package, symbol in (("numpy", "scipy_openblas_{}_num_threads64_"),
+                            ("scipy", "scipy_openblas_{}_num_threads")):
+        root = Path(importlib.util.find_spec(package).origin).resolve().parent.parent
+        for path in root.glob(f"{package}.libs/*openblas*"):
+            try:
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            except (OSError, AttributeError):  # not loaded, or no RTLD_NOLOAD here
+                continue
+            get, set_ = getattr(lib, symbol.format("get")), getattr(lib, symbol.format("set"))
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            found[path.name] = (get, set_)
+    return found
+
+
+def _blas_counts():
+    return {name: get() for name, (get, _) in _loaded_openblas().items()}
+
+
+def test_commands_restore_the_callers_blas_threads(tmp_path, monkeypatch):
+    """In-process, a command runs on one BLAS thread with
+    OPENBLAS_NUM_THREADS=1, and leaves every loaded OpenBLAS and the
+    variable as it found them, on success and on a config error.  A library
+    the command loads (scipy's, when no earlier test loaded it) gets the
+    count the loaded ones had."""
+    original = _blas_counts()
+    if not original:
+        pytest.skip("no bundled OpenBLAS is loaded")
+    during = []
+    spectrum, fmt = cli._COMMANDS["spectrum"]
+
+    def recording(conf, args):
+        try:
+            return spectrum(conf, args)
+        finally:
+            during.append((os.environ.get("OPENBLAS_NUM_THREADS"), _blas_counts()))
+
+    monkeypatch.setitem(cli._COMMANDS, "spectrum", (recording, fmt))
+    doc = {"ladder": {"cells": 2, "boundary": "open"}, "couplings": HOMOG,
+           "method": "spin-iterative", "seed": 1}
+    ok = write_config(tmp_path, {**doc, "k": 2})
+    bad = write_config(tmp_path, {**doc, "k": 0}, name="bad.json")  # exit 2 inside the command
+    try:
+        for env in (None, "3"):
+            if env is None:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", env)
+            for cfg, code in ((ok, 0), (bad, 2)):
+                for _, set_ in _loaded_openblas().values():
+                    set_(2)
+                assert cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+                assert os.environ.get("OPENBLAS_NUM_THREADS") == env
+                counts = _blas_counts()
+                assert counts == dict.fromkeys(counts, 2)
+                assert during.pop() == ("1", dict.fromkeys(counts, 1))
+    finally:
+        fallback = next(iter(original.values()))
+        for name, (_, set_) in _loaded_openblas().items():
+            set_(original.get(name, fallback))

@@ -151,7 +151,7 @@ def test_sector_sweep_threading_is_deterministic():
 
 
 def test_sweep_thread_pool_is_capped(monkeypatch):
-    """The pool gets min(threads, #chunks, #CPUs) workers.  The recorder
+    """The pool gets min(threads, #chunks, usable CPUs) workers.  The recorder
     runs every chunk serially, so no thread is started."""
     pools = []
 
@@ -175,7 +175,6 @@ def test_sweep_thread_pool_is_capped(monkeypatch):
     cases = [  # ladder, threads, CPUs, pool sizes
         (wide, 10**6, 64, [2]),
         (wide, 10**6, 1, []),
-        (wide, 10**6, None, []),
         (wide, 2, 64, [2]),
         (wide, 1, 64, []),
         (wide, None, 64, []),
@@ -185,11 +184,24 @@ def test_sweep_thread_pool_is_capped(monkeypatch):
         cc = random_couplings(lad, rng)
         serial = sector_sweep(lad, cc)
         pools.clear()
-        monkeypatch.setattr(freefermion.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(freefermion, "usable_cpus", lambda: cpus)
         got = sector_sweep(lad, cc, threads=threads)
         assert pools == want, (lad.n_cells, threads, cpus)
         assert np.array_equal(got.sector_ids, serial.sector_ids)
         assert np.array_equal(got.energies, serial.energies)
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    """The pool size follows the CPUs this process may run on (``taskset``
+    narrows them below ``os.cpu_count()``), else the machine's count."""
+    os = freefermion.os
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert freefermion.usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert freefermion.usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert freefermion.usable_cpus() == 1
 
 
 def test_batched_sector_gauges_match_gauge_for_sector(monkeypatch):

@@ -9,7 +9,12 @@ import pytest
 import scipy.sparse.linalg
 
 from vortexladder import spin_ed
-from vortexladder.errors import GuardExceededError, InvalidSpecError, LabelingError
+from vortexladder.errors import (
+    GuardExceededError,
+    InvalidSpecError,
+    LabelingError,
+    MalformedMatrixError,
+)
 from vortexladder.freefermion import (
     CouplingConfig,
     assemble_skew,
@@ -390,8 +395,17 @@ def test_operator_misc_and_guards():
     h = SpinOperator(2).add_string(sigma("z", 1), 2.0).add_string(sigma("x", 2), -0.5)
     assert h.coefficient_norm() == pytest.approx(2.5)
     assert not (1.0j * h).is_hermitian()
-    # a NaN coefficient leaves a NaN difference, which does not fail the check
-    assert SpinOperator(1, {(0, 1): np.nan}).is_hermitian()
+    # a NaN coefficient equals nothing, so it fails the check
+    assert not SpinOperator(1, {(0, 1): np.nan}).is_hermitian()
+
+
+def test_nan_coefficient_is_a_malformed_matrix():
+    h = SpinOperator(2, {(0, 1): np.nan, (1, 0): 1.0})
+    assert not h.is_hermitian()
+    for solve in (spin_ed.dense_spectrum, lambda op: spin_ed.dense_lowest(op, 1),
+                  lambda op: spin_ed.lowest_eigenvalues(op, 1, seed=0)):
+        with pytest.raises(MalformedMatrixError):
+            solve(h)
 
 
 # ---------------------------------------------------------------------------
