@@ -37,9 +37,7 @@ from .freefermion import (
 )
 from .gauge import (
     GaugeConfig,
-    SignAssignment,
     VortexSector,
-    apply_gauge,
     enumerate_sectors,
     gauge_for_sector,
     sector_from_id,
@@ -56,7 +54,6 @@ from .lattice import (
     ReflectionMap,
     build_ladder,
     reflection,
-    symmetric_loops,
 )
 from .perturbation import (
     EffectiveResult,
@@ -73,7 +70,6 @@ from .rp import (
     MajoranaRep,
     doubled_hamiltonians,
     energy_inequality_check,
-    fix_cross_signs,
     fock_majoranas,
     mirror_theta,
     random_even_element,

@@ -123,6 +123,10 @@ def _config_ladder(conf: Conf) -> Ladder:
     sub = conf.child("ladder")
     cells = sub.get("cells", int)
     boundary = sub.choice("boundary", [b.value for b in Boundary], Boundary.OPEN.value)
+    if cells > freefermion.MAX_SCAN_CELLS:  # before build_ladder, which allocates per cell
+        raise GuardExceededError(
+            f"{cells} cells exceeds the ladder guard ({freefermion.MAX_SCAN_CELLS})"
+        )
     try:
         return build_ladder(cells, boundary)
     except ValueError as e:
@@ -371,13 +375,13 @@ def cmd_gap_scan(conf: Conf, args) -> str:
     step = conf.get("cells_step", int, 1)
     if step < 1:
         raise ConfigError("config.cells_step: must be >= 1")
-    cells = list(range(int(span[0]), int(span[1]) + 1, step))
-    if not cells:
-        raise ConfigError("config.cells_range: empty range")
-    if cells[-1] > freefermion.MAX_SCAN_CELLS:
+    first, last = int(span[0]), int(span[1])
+    last -= (last - first) % step  # the last N the scan reaches
+    if last > freefermion.MAX_SCAN_CELLS:
         raise GuardExceededError(
-            f"{cells[-1]} cells exceeds the scan guard ({freefermion.MAX_SCAN_CELLS})"
+            f"{last} cells exceeds the scan guard ({freefermion.MAX_SCAN_CELLS})"
         )
+    cells = list(range(first, last + 1, step))
     patterns = conf.get("patterns", list, ["BL"])
     if not patterns or not all(isinstance(p, str) for p in patterns):
         raise ConfigError("config.patterns: expected a non-empty list of pattern strings")
@@ -470,22 +474,19 @@ def cmd_compare(conf: Conf, args) -> str:
 
 def _config_split(conf: Conf, ladder: Ladder) -> perturbation.PerturbationSplit:
     jx = conf.get("jx", float)
-    guard = conf.get("ratio_guard", float, perturbation.RATIO_GUARD)
     try:
         if conf.has("t"):
-            split = perturbation.PerturbationSplit.from_uniform(
-                ladder, jx, conf.get("t", float), ratio_guard=guard
-            )
+            split = perturbation.PerturbationSplit.from_uniform(ladder, jx, conf.get("t", float))
         elif conf.has("jy_bonds") or conf.has("jz_bonds"):
             split = perturbation.PerturbationSplit(
-                jx, _bond_map(conf.child("jy_bonds")), _bond_map(conf.child("jz_bonds")), guard
+                jx, _bond_map(conf.child("jy_bonds")), _bond_map(conf.child("jz_bonds"))
             )
         else:
             jy = conf.get("jy", float)
             jz = conf.get("jz", float)
             jy_map = {b.pair: jy for b in ladder.bonds if b.kind is BondType.Y}
             jz_map = {b.pair: jz for b in ladder.bonds if b.kind is BondType.Z}
-            split = perturbation.PerturbationSplit(jx, jy_map, jz_map, guard)
+            split = perturbation.PerturbationSplit(jx, jy_map, jz_map)
         split.validate_for(ladder)
     except ConfigError:  # from conf.get: already names its path
         raise

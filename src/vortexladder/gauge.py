@@ -61,26 +61,11 @@ class GaugeConfig:
 
 
 @dataclass(frozen=True)
-class SignAssignment:
-    """Site-local Z2 transformation s: sites -> {+-1}."""
-
-    s: Mapping[int, int]
-
-    def __post_init__(self):
-        for site, val in self.s.items():
-            if val not in (-1, 1):
-                raise InvalidSpecError(f"s({site}) = {val!r}, expected +-1")
-
-    def __call__(self, site: int) -> int:
-        return self.s.get(site, 1)
-
-
-@dataclass(frozen=True)
 class VortexSector:
     """One +-1 value per cycle-basis loop, keyed by cycle name."""
 
     values: Mapping[str, int]
-    sector_id: int | None = None
+    sector_id: int
 
 
 def vortex_value(gauge: GaugeConfig, loop: Loop) -> int:
@@ -91,12 +76,6 @@ def vortex_value(gauge: GaugeConfig, loop: Loop) -> int:
     for k, a in enumerate(loop):
         prod *= gauge.sign(a, loop[(k + 1) % len(loop)])
     return -prod
-
-
-def apply_gauge(gauge: GaugeConfig, assignment: SignAssignment) -> GaugeConfig:
-    return GaugeConfig(
-        {(i, j): assignment(i) * assignment(j) * s for (i, j), s in gauge.u.items()}
-    )
 
 
 def sector_of(ladder: Ladder, gauge: GaugeConfig) -> VortexSector:
@@ -132,7 +111,8 @@ def sector_from_id(ladder: Ladder, sid: int) -> VortexSector:
 
 
 def enumerate_sectors(ladder: Ladder) -> Iterator[VortexSector]:
-    """All sectors in ascending sector-id (counter) order."""
+    """All sectors in ascending sector-id (counter) order.  No command calls
+    this; the tests use it as the oracle that visits every sector."""
     n = len(ladder.cycle_names)
     if n > MAX_SECTOR_BASIS:
         raise GuardExceededError(

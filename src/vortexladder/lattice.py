@@ -156,10 +156,6 @@ class ReflectionMap:
     case: ReflectionCase
     theta: dict[int, int]
     negative: frozenset[int]          # the half containing site 1
-    cross_bonds: tuple[Bond, ...]
-
-    def loop_image(self, loop: Loop) -> Loop:
-        return tuple(self.theta[s] for s in loop)
 
 
 def reflection(ladder: Ladder, case: ReflectionCase | str) -> ReflectionMap:
@@ -194,8 +190,7 @@ def reflection(ladder: Ladder, case: ReflectionCase | str) -> ReflectionMap:
         negative = frozenset(s for s in range(1, 4 * N + 1) if ladder.column(s) <= N)
 
     _check_reflection(ladder, theta, negative, swap_xy=case is ReflectionCase.HORIZONTAL)
-    cross = tuple(b for b in ladder.bonds if (b.i in negative) != (b.j in negative))
-    return ReflectionMap(case, theta, negative, cross)
+    return ReflectionMap(case, theta, negative)
 
 
 def _check_reflection(ladder, theta: dict[int, int], negative: frozenset[int], swap_xy: bool):
@@ -214,19 +209,3 @@ def _check_reflection(ladder, theta: dict[int, int], negative: frozenset[int], s
         expect = swapped[b.kind] if swap_xy else b.kind
         if image.kind != expect:
             raise UnsupportedReflectionError(f"bond type not preserved on {b.pair}")
-
-
-def symmetric_loops(ladder: Ladder, refl: ReflectionMap) -> tuple[str, ...]:
-    """Names of cycle-basis loops mapped onto their own reversal by theta."""
-    out = []
-    for name, loop in ladder.cycles.items():
-        if _cyclic_equal(refl.loop_image(loop), loop[::-1]):
-            out.append(name)
-    return tuple(out)
-
-
-def _cyclic_equal(a: Loop, b: Loop) -> bool:
-    if len(a) != len(b):
-        return False
-    n = len(a)
-    return any(all(a[(s + t) % n] == b[t] for t in range(n)) for s in range(n))

@@ -35,7 +35,7 @@ from .errors import GuardExceededError, InvalidSpecError, LabelingError
 from .freefermion import CouplingConfig
 from .lattice import Boundary, BondType, Ladder
 
-RATIO_GUARD = 0.1  # default ceiling for max(jy, jz)/jx
+RATIO_GUARD = 0.1  # ceiling for max(jy, jz)/jx
 
 
 def _z_pair(j: int) -> tuple[int, int]:
@@ -55,7 +55,6 @@ class PerturbationSplit:
     jx: float
     jy: Mapping[tuple[int, int], float]
     jz: Mapping[tuple[int, int], float]
-    ratio_guard: float = RATIO_GUARD
 
     def validate_for(self, ladder: Ladder) -> None:
         if not (np.isfinite(self.jx) and self.jx > 0):
@@ -67,25 +66,16 @@ class PerturbationSplit:
         weak = list(self.jy.values()) + list(self.jz.values())
         if any(not np.isfinite(v) or v < 0 for v in weak):
             raise InvalidSpecError("weak couplings must be finite and >= 0")
-        if max(weak) > self.ratio_guard * self.jx:
+        if max(weak) > RATIO_GUARD * self.jx:
             raise GuardExceededError(
-                f"max weak coupling {max(weak)} exceeds {self.ratio_guard} * jx"
+                f"max weak coupling {max(weak)} exceeds {RATIO_GUARD} * jx"
             )
 
     @classmethod
-    def from_uniform(cls, ladder: Ladder, jx: float, t: float, ratio_guard: float = RATIO_GUARD):
+    def from_uniform(cls, ladder: Ladder, jx: float, t: float):
         jy = {b.pair: float(t) for b in ladder.bonds if b.kind is BondType.Y}
         jz = {b.pair: float(t) for b in ladder.bonds if b.kind is BondType.Z}
-        return cls(float(jx), jy, jz, ratio_guard)
-
-    @classmethod
-    def from_couplings(cls, ladder: Ladder, couplings: CouplingConfig, ratio_guard: float = RATIO_GUARD):
-        xs = {couplings[b.pair] for b in ladder.bonds if b.kind is BondType.X}
-        if len(xs) != 1:
-            raise InvalidSpecError("x couplings must be uniform for the split")
-        jy = {b.pair: couplings[b.pair] for b in ladder.bonds if b.kind is BondType.Y}
-        jz = {b.pair: couplings[b.pair] for b in ladder.bonds if b.kind is BondType.Z}
-        return cls(float(xs.pop()), jy, jz, ratio_guard)
+        return cls(float(jx), jy, jz)
 
     def to_couplings(self, ladder: Ladder) -> CouplingConfig:
         values = {}

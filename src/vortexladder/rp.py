@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import InvalidSpecError, MalformedMatrixError
 from .freefermion import SkewAdjacency, ground_energy, mode_spectrum
-from .gauge import SignAssignment
 from .spin_ed import PauliString, SpinOperator
 
 MAX_FOCK_MAJORANAS = 16
@@ -341,34 +340,6 @@ def reflection_gram(
     if np.abs(gram - gram.conj().T).max() > SYMMETRY_TOL * scale:
         raise MalformedMatrixError("reflection Gram matrix is not Hermitian")
     return gram
-
-
-def fix_cross_signs(
-    H: MajoranaPolynomial, theta: Mapping[int, int]
-) -> tuple[MajoranaPolynomial, SignAssignment]:
-    """Flip generators on the negative half so every cross coupling w in
-    w * i c_i c_theta(i) comes out positive.  Loop/vortex data is unchanged
-    (the flip is a local Z2 transformation)."""
-    _check_theta(H.n, theta)
-    neg = sorted(negative_half(H.n))
-    flips: dict[int, int] = {}
-    for i in neg:
-        j = theta[i]  # always > i: the halves are {1..n/2} and the rest
-        c = H.terms.get((i, j), 0)
-        w = complex(c / 1j)
-        if abs(w) == 0:
-            raise InvalidSpecError(f"zero cross coupling on ({i},{j}); cannot fix")
-        if abs(w.imag) > 1e-12 * abs(w):
-            raise InvalidSpecError(f"cross coupling on ({i},{j}) is not of the form i*w")
-        flips[i] = -1 if w.real < 0 else 1
-    assignment = SignAssignment({i: flips.get(i, 1) for i in range(1, H.n + 1)})
-    fixed = MajoranaPolynomial(H.n)
-    for mono, c in H.terms.items():
-        s = 1
-        for v in mono:
-            s *= assignment(v)
-        fixed._accumulate(mono, s * c)
-    return fixed, assignment
 
 
 def doubled_hamiltonians(

@@ -462,6 +462,26 @@ def test_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_ladder_guard_precedes_build_ladder(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def recorder(cells, boundary="open"):
+        assert cells <= freefermion.MAX_SCAN_CELLS, "build_ladder called past the guard"
+        built.append(cells)
+        return build_ladder(cells, boundary)
+
+    monkeypatch.setattr(cli, "build_ladder", recorder)
+    for cells in (10**9, freefermion.MAX_SCAN_CELLS + 1):
+        doc = {"ladder": {"cells": cells, "boundary": "closed"}, "couplings": HOMOG}
+        assert cli.main(["sweep", "--config", write_config(tmp_path, doc)]) == 3
+        assert "guard exceeded" in capsys.readouterr().err
+    assert built == []
+    # at the guard the ladder is built and the sweep's own guard refuses it
+    doc = {"ladder": {"cells": freefermion.MAX_SCAN_CELLS, "boundary": "closed"}, "couplings": HOMOG}
+    assert cli.main(["sweep", "--config", write_config(tmp_path, doc)]) == 3
+    assert built == [freefermion.MAX_SCAN_CELLS]
+
+
 def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert cli.main(["spectrum"]) == 2  # --config required
     assert "config error" in capsys.readouterr().err
@@ -509,6 +529,12 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         name="scan.json",
     )
     assert cli.main(["gap-scan", "--config", scan]) == 3
+    # the guard reads the range's end before listing it: no overflow, no giant list
+    for last in (1e300, 1e8):
+        doc = {"ladder": {"boundary": "closed"}, "cells_range": [2, last],
+               "couplings": {"preset": "decaying-top-closed"}}
+        assert cli.main(["gap-scan", "--config", write_config(tmp_path, doc)]) == 3
+        assert "guard exceeded" in capsys.readouterr().err
     for key, value in (("cells_step", 0), ("cells_range", [1, 3])):
         doc = {"ladder": {"boundary": "closed"}, "cells_range": [4, 6],
                "couplings": {"preset": "decaying-top-closed"}, key: value}
@@ -563,8 +589,6 @@ NON_FINITE = {
                                []),
     "rp-gibbs-overflow-weight": ("rp-verify", '{"majoranas": 8, "samples": 5, "seed": 3, '
                                  '"cross_weights": [1e3, 1, 1, 1]}', []),
-    "perturb-guard-nan": ("perturb", '{"ladder": {"cells": 2}, "seed": 1, "jx": 1.0, "t": 0.01, '
-                          '"ratio_guard": NaN}', []),
     "perturb-closed-n2": ("perturb", '{"ladder": {"cells": 2, "boundary": "closed"}, "jx": 1.0, '
                           '"t": 0.02}', []),
     "perturb-huge-int": ("perturb", '{"ladder": {"cells": 2}, "seed": 1, "jx": 1' + "0" * 400

@@ -11,10 +11,8 @@ from vortexladder.errors import (
 )
 from vortexladder.gauge import (
     GaugeConfig,
-    SignAssignment,
     VortexSector,
     _solve_gf2,
-    apply_gauge,
     cycle_cotree_matrix,
     enumerate_sectors,
     gauge_for_sector,
@@ -89,10 +87,10 @@ def test_site_flips_preserve_every_loop_value():
     g = GaugeConfig(u)
     before = sector_of(lad, g)
     for _ in range(10):
-        s = SignAssignment(
-            {site: int(rng.choice([-1, 1])) for site in range(1, lad.n_sites + 1)}
-        )
-        after = sector_of(lad, apply_gauge(g, s))
+        s = {site: int(rng.choice([-1, 1])) for site in range(1, lad.n_sites + 1)}
+        # u'(i->j) = s(i) s(j) u(i->j): a local Z2 transformation
+        flipped = GaugeConfig({(i, j): s[i] * s[j] * v for (i, j), v in u.items()})
+        after = sector_of(lad, flipped)
         assert after.values == before.values
         assert after.sector_id == before.sector_id
 

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from vortexladder.errors import GuardExceededError, InvalidSpecError
-from vortexladder.freefermion import CouplingConfig
 from vortexladder.lattice import BondType, build_ladder
 from vortexladder.perturbation import (
+    RATIO_GUARD,
     PerturbationSplit,
     effective,
     effective_closed,
@@ -96,17 +96,12 @@ def test_split_construction_and_guards():
     assert split.scale() == pytest.approx(0.04)
     cc = split.to_couplings(lad)
     cc.validate_for(lad)
-    again = PerturbationSplit.from_couplings(lad, cc)
-    assert again.jx == 1.0 and again.jy == split.jy and again.jz == split.jz
+    want = {BondType.X: 1.0, BondType.Y: 0.04, BondType.Z: 0.04}
+    assert all(cc[b.pair] == want[b.kind] for b in lad.bonds)
 
     with pytest.raises(GuardExceededError):
         PerturbationSplit.from_uniform(lad, 1.0, 0.2).validate_for(lad)
-    loose = PerturbationSplit.from_uniform(lad, 1.0, 0.2, ratio_guard=0.5)
-    loose.validate_for(lad)  # guard is adjustable
-
-    bad = {b.pair: 1.0 for b in lad.bonds}
-    with pytest.raises(InvalidSpecError):
-        PerturbationSplit.from_couplings(lad, CouplingConfig(bad | {(2, 3): 2.0}))
+    PerturbationSplit.from_uniform(lad, 2.0, 2.0 * RATIO_GUARD).validate_for(lad)  # at the ceiling
     jy = {b.pair: 0.01 for b in lad.bonds if b.kind is BondType.Y}
     jz = {b.pair: -0.01 for b in lad.bonds if b.kind is BondType.Z}
     with pytest.raises(InvalidSpecError):

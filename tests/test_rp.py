@@ -10,7 +10,6 @@ from vortexladder.rp import (
     doubled_hamiltonians,
     energy_inequality_check,
     even_monomials,
-    fix_cross_signs,
     fock_majoranas,
     mirror_theta,
     negative_half,
@@ -183,28 +182,6 @@ def test_rp_functional_input_validation():
     lopsided = quadratic(n, {(1, 2): 0.5, (3, 4): 0.9, (2, 3): 1.0})
     with pytest.raises(InvalidSpecError):
         rp_functional(MajoranaPolynomial(n, {(1, 2): 1.0}), lopsided, theta)
-
-
-def test_fix_cross_signs():
-    n = 4
-    theta = mirror_theta(n)
-    h = quadratic(n, {(1, 2): 0.5, (3, 4): 0.5, (2, 3): -1.0, (1, 4): -0.25})
-    fixed, flips = fix_cross_signs(h, theta)
-    assert fixed.terms[(2, 3)] == 1.0j and fixed.terms[(1, 4)] == 0.25j
-    # both negative-half generators flip, so the bulk term is untouched
-    assert (flips(1), flips(2), flips(3), flips(4)) == (-1, -1, 1, 1)
-    assert fixed.terms[(1, 2)] == 0.5j
-    b = MajoranaPolynomial(n, {(1, 2): 1.0})
-    assert rp_functional(b, fixed, theta) >= -1e-10
-
-    missing = quadratic(n, {(1, 2): 0.5, (3, 4): 0.5, (2, 3): 1.0, (1, 4): 0.0})
-    with pytest.raises(InvalidSpecError):
-        fix_cross_signs(missing, theta)  # zero cross coupling
-    odd_form = MajoranaPolynomial(
-        n, {(1, 2): 0.5j, (3, 4): 0.5j, (2, 3): 1.0, (1, 4): 0.25j}
-    )
-    with pytest.raises(InvalidSpecError):
-        fix_cross_signs(odd_form, theta)  # cross term not of the i*w form
 
 
 def test_doubled_hamiltonians_structure():
