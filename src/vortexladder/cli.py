@@ -7,7 +7,8 @@ Identical config + seed gives byte-identical output.  CSV floats carry 17
 significant digits so doubles round-trip exactly.  Each command runs its
 linear algebra on one BLAS thread (``_one_blas_thread``), so the output does
 not depend on the core count or ``OPENBLAS_NUM_THREADS``; ``--threads`` is
-the only parallelism.
+the only parallelism.  A process that imports this module before numpy
+starts numpy's OpenBLAS on one thread as well.
 """
 
 from __future__ import annotations
@@ -24,7 +25,28 @@ import tempfile
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
-import numpy as np
+
+@contextlib.contextmanager
+def _one_thread_variable() -> Iterator[None]:
+    """``OPENBLAS_NUM_THREADS=1`` for the body; then the caller's value, or none.
+    OpenBLAS reads it once, when the library loads."""
+    env = os.environ.get("OPENBLAS_NUM_THREADS")
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        if env is None:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = env
+
+
+# A process whose first numpy import is this one starts numpy's OpenBLAS with
+# one thread instead of one per core: every command runs on one anyway
+# (``_one_blas_thread``), and starting the spare threads costs every process
+# CPU time.
+with contextlib.nullcontext() if "numpy" in sys.modules else _one_thread_variable():
+    import numpy as np
 
 from . import freefermion, gauge, perturbation, presets, rp, spin_ed
 from .errors import (
@@ -721,20 +743,15 @@ def _one_blas_thread() -> Iterator[None]:
     if not saved:
         yield
         return
-    env = os.environ.get("OPENBLAS_NUM_THREADS")
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        for _, set_ in libs.values():
-            set_(1)
-        yield
-    finally:
-        if env is None:
-            os.environ.pop("OPENBLAS_NUM_THREADS", None)
-        else:
-            os.environ["OPENBLAS_NUM_THREADS"] = env
-        first = next(iter(saved.values()))
-        for path, (_, set_) in _loaded_blas().items():
-            set_(saved.get(path, first))
+    with _one_thread_variable():
+        try:
+            for _, set_ in libs.values():
+                set_(1)
+            yield
+        finally:
+            first = next(iter(saved.values()))
+            for path, (_, set_) in _loaded_blas().items():
+                set_(saved.get(path, first))
 
 
 _COMMANDS = {

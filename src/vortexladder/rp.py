@@ -21,7 +21,7 @@ from exact Pauli-string products and one table of e^{-beta H}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -40,11 +40,28 @@ GIBBS_EXPONENT_LIMIT = 600.0  # largest -beta * E in e^{-beta H}; see _gibbs_sta
 class MajoranaRep:
     n: int
     strings: tuple[PauliString, ...]  # strings[j-1] is c_j
-    matrices: tuple[np.ndarray, ...]  # matrices[j-1] represents c_j (read-only)
 
     @property
     def dim(self) -> int:
         return 1 << (self.n // 2)
+
+    @cached_property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """Read-only dense c_1..c_n, built on first use: no command reads them,
+        criterion 8 diagonalizes with them."""
+        modes, idx = self.n // 2, np.arange(self.dim)
+        mats = []
+        for odd, even in zip(self.strings[0::2], self.strings[1::2]):
+            below = odd.z_mask  # the bits of the modes before this one
+            real = PauliString(even.x_mask, even.z_mask, 2)  # -i c_{2mu}
+            # the signed zeros of the product-state construction: c_{2mu-1}[r, c] has the sign
+            # (-1)^{|r & c & below|}, and 1j * real leaves -0.0 real parts where real < 0
+            signs = np.where(np.bitwise_count(idx[:, None] & idx & below) & 1, -1.0, 1.0)
+            odd_mat, real_mat = (SpinOperator(modes).add_string(ps).to_dense() for ps in (odd, real))
+            mats += [np.copysign(odd_mat, signs), 1j * real_mat]
+        for mat in mats:
+            mat.flags.writeable = False  # cached: shared by every caller
+        return tuple(mats)
 
 
 @lru_cache(maxsize=None)
@@ -53,21 +70,12 @@ def fock_majoranas(n: int) -> MajoranaRep:
     if n % 2 or not (2 <= n <= MAX_FOCK_MAJORANAS):
         raise InvalidSpecError(f"need an even Majorana count in 2..{MAX_FOCK_MAJORANAS}, got {n}")
     modes = n // 2
-    dim, idx = 1 << modes, np.arange(1 << modes)
-    strings, mats = [], []
+    strings = []
     for mu in range(modes):
         bit = 1 << (modes - 1 - mu)
-        below = dim - 2 * bit  # the bits of the modes nu < mu
-        odd, real = PauliString(bit, below), PauliString(bit, below | bit, 2)  # real = -i c_{2mu}
-        strings += [odd, PauliString(bit, below | bit, 3)]
-        # the signed zeros of the product-state construction: c_{2mu-1}[r, c] has the sign
-        # (-1)^{|r & c & below|}, and 1j * real leaves -0.0 real parts where real < 0
-        signs = np.where(np.bitwise_count(idx[:, None] & idx & below) & 1, -1.0, 1.0)
-        odd_mat, real_mat = (SpinOperator(modes).add_string(ps).to_dense() for ps in (odd, real))
-        mats += [np.copysign(odd_mat, signs), 1j * real_mat]
-    for mat in mats:
-        mat.flags.writeable = False  # cached: shared by every caller
-    return MajoranaRep(n, tuple(strings), tuple(mats))
+        below = (1 << modes) - 2 * bit  # the bits of the modes nu < mu
+        strings += [PauliString(bit, below), PauliString(bit, below | bit, 3)]
+    return MajoranaRep(n, tuple(strings))
 
 
 def negative_half(n: int) -> frozenset[int]:

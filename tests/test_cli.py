@@ -646,6 +646,35 @@ def test_open_compare_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "0 []"
 
 
+def _python_json(code, env):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_process_starts_numpy_blas_on_one_thread():
+    """A process that imports the CLI before numpy starts numpy's OpenBLAS on
+    one thread and keeps the caller's OPENBLAS_NUM_THREADS; in one that
+    imported numpy first, the count is a plain numpy process's."""
+    read = ("import json, os, vortexladder.cli as cli; "
+            "print(json.dumps([[get() for path, (get, _) in cli._loaded_blas().items() "
+            "if 'numpy.libs' in path], os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    plain = ("import ctypes, json, os, pathlib, numpy; "
+             "libs = pathlib.Path(numpy.__file__).resolve().parent.parent / 'numpy.libs'; "
+             "paths = sorted(libs.glob('*openblas*')); "
+             "lib = paths and ctypes.CDLL(str(paths[0]), mode=os.RTLD_NOLOAD); "
+             "print(json.dumps(lib and lib.scipy_openblas_get_num_threads64_()))")
+    for value in (None, "3"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        numpy_own = _python_json(plain, env)
+        if not numpy_own:
+            pytest.skip("numpy bundles no OpenBLAS")
+        assert _python_json(read, env) == [[1], value]
+        assert _python_json("import numpy; " + read, env) == [[numpy_own], value]
+
+
 def test_lanczos_bytes_do_not_depend_on_blas_threads(tmp_path):
     """The Lanczos paths (16 spins) write the same bytes whatever
     OPENBLAS_NUM_THREADS the caller set: commands run BLAS on one thread."""

@@ -21,7 +21,7 @@ from vortexladder.rp import (
     split_by_side,
     trace_bound_check,
 )
-from vortexladder.spin_ed import PauliString
+from vortexladder.spin_ed import PauliString, SpinOperator
 
 
 def _kron_majoranas(n):
@@ -60,11 +60,11 @@ def test_fock_clifford_relations():
         rep = fock_majoranas(n)
         assert rep.dim == 1 << (n // 2)
         eye = np.eye(rep.dim)
-        for k, c in enumerate(rep.matrices):
+        mats = [SpinOperator(n // 2).add_string(ps).to_dense() for ps in rep.strings]
+        for k, c in enumerate(mats):
             assert np.array_equal(c, c.conj().T)
             assert np.array_equal(c @ c, eye)
-            for l in range(k):
-                d = rep.matrices[l]
+            for d in mats[:k]:
                 assert np.array_equal(c @ d + d @ c, np.zeros_like(eye))
 
 
