@@ -59,7 +59,6 @@ _SUBMODULE_EXPORTS = {
         "Boundary",
         "Ladder",
         "ReflectionCase",
-        "ReflectionMap",
         "build_ladder",
         "reflection",
     ),
@@ -68,8 +67,6 @@ _SUBMODULE_EXPORTS = {
         "PerturbationSplit",
         "PerturbationValidation",
         "effective",
-        "effective_closed",
-        "effective_open",
         "validate_against_ed",
     ),
     "presets": ("Preset", "make_couplings"),

@@ -4,10 +4,12 @@ Every command reads one JSON config (--config), computes, and writes a
 single output file atomically (write to a temp file in the target
 directory, then rename), so a failed run never leaves a partial artifact.
 Identical config + seed gives byte-identical output.  CSV floats carry 17
-significant digits so doubles round-trip exactly.  Each command runs its
-linear algebra on one BLAS thread (``_one_blas_thread``), so the output does
-not depend on the core count or ``OPENBLAS_NUM_THREADS``; ``--threads`` is
-the only parallelism.  A process that imports this module before numpy
+significant digits so doubles round-trip exactly.  A config key that the
+command never asked about is a config error, raised after the run and
+before anything is written.  Each command runs its linear algebra on one
+BLAS thread (``_one_blas_thread``), so the output does not depend on the
+core count or ``OPENBLAS_NUM_THREADS``; ``--threads`` is the only
+parallelism.  A process that imports this module before numpy
 starts numpy's OpenBLAS on one thread as well.
 """
 
@@ -65,24 +67,47 @@ _MISSING = object()
 # config plumbing
 
 class Conf:
-    """Cursor into a JSON document whose errors name the failing path."""
+    """Cursor into a JSON document whose errors name the failing path.
 
-    def __init__(self, doc: Any, path: str = "config"):
+    Every cursor on one document records the keys it is asked about (by
+    ``child``, ``has`` and ``get``) in one table, so ``unread`` can name the
+    keys no command asked about.
+    """
+
+    def __init__(self, doc: Any, path: str = "config", asked: dict[int, set[str]] | None = None):
         self.doc = doc
         self.path = path
+        self.asked = {} if asked is None else asked  # id of an object -> its keys asked about
 
     def fail(self, msg: str) -> "ConfigError":
         return ConfigError(f"{self.path}: {msg}")
 
+    def _ask(self, key: str) -> None:
+        self.asked.setdefault(id(self.doc), set()).add(key)
+
     def child(self, key: str) -> "Conf":
+        self._ask(key)
         if not isinstance(self.doc, dict):
             raise self.fail("expected an object")
         if key not in self.doc:
             raise ConfigError(f"{self.path}.{key}: missing required key")
-        return Conf(self.doc[key], f"{self.path}.{key}")
+        return Conf(self.doc[key], f"{self.path}.{key}", self.asked)
 
     def has(self, key: str) -> bool:
+        self._ask(key)
         return isinstance(self.doc, dict) and key in self.doc
+
+    def unread(self) -> list[str]:
+        """Paths of the keys of this object that were never asked about, and
+        of the unread keys inside the objects that were."""
+        asked = self.asked.get(id(self.doc), ())
+        paths = []
+        for key, value in self.doc.items():
+            if key not in asked:
+                paths.append(f"{self.path}.{key}")
+            elif isinstance(value, dict):
+                paths += Conf(value, f"{self.path}.{key}", self.asked).unread()
+        return paths
 
     def _typed(self, value: Any, kind: type, path: str) -> Any:
         if kind is float:
@@ -104,6 +129,7 @@ class Conf:
         return value
 
     def get(self, key: str, kind: type, default: Any = _MISSING) -> Any:
+        self._ask(key)
         if not isinstance(self.doc, dict):
             raise self.fail("expected an object")
         if key not in self.doc:
@@ -303,10 +329,10 @@ def _symmetric_cases(ladder: Ladder, couplings: freefermion.CouplingConfig) -> l
         candidates.append(ReflectionCase.VERTICAL_CLOSED)
     holds = []
     for case in candidates:
-        refl = reflection(ladder, case)
+        theta = reflection(ladder, case)
         ok = True
         for (i, j), val in couplings.values.items():
-            ti, tj = refl.theta[i], refl.theta[j]
+            ti, tj = theta[i], theta[j]
             mirrored = couplings[(ti, tj) if ti < tj else (tj, ti)]
             if abs(abs(val) - abs(mirrored)) > 1e-12 * max(1.0, abs(val)):
                 ok = False
@@ -754,6 +780,9 @@ def _one_blas_thread() -> Iterator[None]:
                 set_(saved.get(path, first))
 
 
+# config keys every command accepts, as it accepts the flags that override them
+_COMMON_KEYS = ("config.seed", "config.threads", "config.tol")
+
 _COMMANDS = {
     "spectrum": (cmd_spectrum, "csv"),
     "sweep": (cmd_sweep, "csv"),
@@ -791,6 +820,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         conf = _load_config(args.config)
         with _one_blas_thread():
             text = runner(conf, args)
+        unread = [path for path in conf.unread() if path not in _COMMON_KEYS]
+        if unread:
+            raise ConfigError("; ".join(f"{path}: unknown key" for path in unread))
         _emit(text, args.out)
         return 0
     except ConfigError as e:

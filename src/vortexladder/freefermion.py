@@ -387,19 +387,14 @@ def pattern_sector(ladder: Ladder, pattern: Mapping[str, int]) -> VortexSector:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Excitation energy ``gap`` of ``pattern`` over the vortex-free sector.
+    """Excitation energy ``gap`` of a pattern over the vortex-free sector.
 
-    For most patterns ``gap`` is the double difference ``energy_pattern -
-    energy_free`` of the two sectors' ground energies.  For the big loop
-    alone on a closed ladder, once the gap falls below the difference's noise
-    floor ``|energy_free| * eps * 4N``, ``gap`` is the cancellation-free
-    ``twisted_wrap_gap`` instead and ``energy_pattern`` is set to
-    ``energy_free + gap`` (so it no longer resolves the gap itself).
+    For most patterns ``gap`` is the difference of the two sectors' ground
+    energies.  For the big loop alone on a closed ladder, once the gap falls
+    below the difference's noise floor ``|energy_free| * eps * 4N``, ``gap``
+    is the cancellation-free ``twisted_wrap_gap`` instead.
     """
 
-    pattern: VortexSector
-    energy_pattern: float
-    energy_free: float
     gap: float
 
 
@@ -535,7 +530,7 @@ def big_loop_gap(
     modes = mode_spectrum(skew)
     energy_free = ground_energy(modes)
     wrap_gap = None
-    sectors, gaps = [], []  # gap None: the pattern's sector is solved below
+    solve, gaps = [], []  # gap None: the pattern's sector is in ``solve``
     for sec in patterns:
         if isinstance(sec, str):
             sec = parse_pattern(ladder, sec)
@@ -548,10 +543,10 @@ def big_loop_gap(
                 wrap_gap = twisted_wrap_gap(skew, modes) if modes.eps[-1] > 0.0 else np.inf
             if abs(wrap_gap) <= abs(energy_free) * np.finfo(float).eps * ladder.n_sites:
                 gap = wrap_gap
-        sectors.append(sec)
+        if gap is None:
+            solve.append(sec)
         gaps.append(gap)
 
-    solve = [sec for sec, gap in zip(sectors, gaps) if gap is None]
     if solve:
         sids = [gauge_mod.sector_id(ladder, sec.values) for sec in solve]  # validates
         cotree, (x_free, *xs) = gauge_mod.cotree_flips(ladder, [free.sector_id, *sids])
@@ -562,11 +557,4 @@ def big_loop_gap(
         eps = _singular_values(_flipped_blocks(skew.matrix[0::2, 1::2], cotree, flips))
         energies = iter(-_mode_sum(eps))
 
-    reports = []
-    for sec, gap in zip(sectors, gaps):
-        if gap is None:
-            energy_pattern = float(next(energies))
-            reports.append(GapReport(sec, energy_pattern, energy_free, energy_pattern - energy_free))
-        else:
-            reports.append(GapReport(sec, energy_free + gap, energy_free, gap))
-    return reports
+    return [GapReport(float(next(energies)) - energy_free if gap is None else gap) for gap in gaps]

@@ -151,18 +151,13 @@ class ReflectionCase(str, Enum):
     VERTICAL_CLOSED = "vertical-closed"  # ring mirror, two crossing gaps
 
 
-@dataclass(frozen=True)
-class ReflectionMap:
-    case: ReflectionCase
-    theta: dict[int, int]
-    negative: frozenset[int]          # the half containing site 1
-
-
-def reflection(ladder: Ladder, case: ReflectionCase | str) -> ReflectionMap:
-    """Site-free reflection of the ladder; see ReflectionCase for the menu.
+def reflection(ladder: Ladder, case: ReflectionCase | str) -> dict[int, int]:
+    """Site map theta of a site-free reflection; see ReflectionCase for the menu.
 
     The vertical mirrors send site k to 4N+1-k.  The closed vertical mirror
-    needs even N so that both crossing planes fall between cells.
+    needs even N so that both crossing planes fall between cells.  theta is
+    checked to exchange the half containing site 1 (the bottom rail, or the
+    columns 1..N) with the other and to preserve bond types.
     """
     case = ReflectionCase(case)
     N = ladder.n_cells
@@ -190,7 +185,7 @@ def reflection(ladder: Ladder, case: ReflectionCase | str) -> ReflectionMap:
         negative = frozenset(s for s in range(1, 4 * N + 1) if ladder.column(s) <= N)
 
     _check_reflection(ladder, theta, negative, swap_xy=case is ReflectionCase.HORIZONTAL)
-    return ReflectionMap(case, theta, negative)
+    return theta
 
 
 def _check_reflection(ladder, theta: dict[int, int], negative: frozenset[int], swap_xy: bool):

@@ -21,6 +21,7 @@ preserved rather than "fixed":
 
 Flipping a single B_k from +1 to -1 costs 2*coeff_k, i.e. the gap is
 JJJ/(4 jx^2) in the bulk and JJJ/jx^2 on the two open-boundary plaquettes.
+``effective`` returns e0, e2 and these single-flip gaps.
 """
 
 from __future__ import annotations
@@ -96,81 +97,38 @@ class PerturbationSplit:
 
 @dataclass(frozen=True)
 class EffectiveResult:
-    boundary: Boundary
     e0: float
     e2: float
-    coeffs: Mapping[str, float]  # p_k -> coefficient of -B_k in e3
     gaps: Mapping[str, float]    # p_k -> energy cost of flipping B_k alone
 
-    def e3(self, pattern: Mapping[str, int]) -> float:
-        total = 0.0
-        for name, coeff in self.coeffs.items():
-            if name not in pattern:
-                raise InvalidSpecError(f"pattern is missing plaquette {name}")
-            b = pattern[name]
-            if b not in (-1, 1):
-                raise InvalidSpecError(f"pattern value for {name} must be +-1")
-            total -= coeff * b
-        return total
 
-    def energy(self, pattern: Mapping[str, int]) -> float:
-        return self.e0 + self.e2 + self.e3(pattern)
-
-
-def effective_open(ladder: Ladder, split: PerturbationSplit) -> EffectiveResult:
-    if ladder.boundary is not Boundary.OPEN:
-        raise InvalidSpecError("effective_open requires an open ladder")
-    split.validate_for(ladder)
-    N = ladder.n_cells
-    jx, jy, jz = split.jx, split.jy, split.jz
-
-    e0 = -jx * (2 * N - 1)
-    bracket = sum(jy[_y_pair(ladder, m)] ** 2 for m in range(1, 2 * N))
-    bracket += sum(jz[_z_pair(j)] ** 2 for j in range(1, 2 * N + 1))
-    # boundary squares appear a second time, exactly as printed
-    bracket += jy[_y_pair(ladder, 1)] ** 2 + jy[_y_pair(ladder, 2 * N - 1)] ** 2
-    bracket += jz[_z_pair(1)] ** 2 + jz[_z_pair(2 * N)] ** 2
-    e2 = -bracket / (4 * jx)
-
-    coeffs, gaps = {}, {}
-    for k in range(1, 2 * N):
-        prod = jz[_z_pair(k)] * jy[_y_pair(ladder, k)] * jz[_z_pair(k + 1)]
-        if k in (1, 2 * N - 1):
-            coeffs[f"p{k}"] = prod / (2 * jx**2)
-            gaps[f"p{k}"] = prod / jx**2
-        else:
-            coeffs[f"p{k}"] = prod / (8 * jx**2)
-            gaps[f"p{k}"] = prod / (4 * jx**2)
-    return EffectiveResult(Boundary.OPEN, e0, e2, coeffs, gaps)
-
-
-def effective_closed(ladder: Ladder, split: PerturbationSplit) -> EffectiveResult:
-    if ladder.boundary is not Boundary.CLOSED:
-        raise InvalidSpecError("effective_closed requires a closed ladder")
-    if ladder.n_cells <= 2:
+def effective(ladder: Ladder, split: PerturbationSplit) -> EffectiveResult:
+    """The printed formulas of the ladder's boundary; closed ones need N > 2."""
+    closed = ladder.boundary is Boundary.CLOSED
+    if closed and ladder.n_cells <= 2:
         raise InvalidSpecError("closed-ladder formulas assume N > 2")
     split.validate_for(ladder)
     N = ladder.n_cells
     jx, jy, jz = split.jx, split.jy, split.jz
 
-    e0 = -jx * 2 * N
+    e0 = -jx * 2 * N if closed else -jx * (2 * N - 1)
     bracket = sum(jy[_y_pair(ladder, m)] ** 2 for m in range(1, 2 * N))
     bracket += sum(jz[_z_pair(j)] ** 2 for j in range(1, 2 * N + 1))
-    bracket += jy[_y_pair(ladder, 2 * N)] ** 2  # closing y bond
+    if closed:
+        bracket += jy[_y_pair(ladder, 2 * N)] ** 2  # closing y bond
+    else:  # boundary squares appear a second time, exactly as printed
+        bracket += jy[_y_pair(ladder, 1)] ** 2 + jy[_y_pair(ladder, 2 * N - 1)] ** 2
+        bracket += jz[_z_pair(1)] ** 2 + jz[_z_pair(2 * N)] ** 2
     e2 = -bracket / (4 * jx)
 
-    coeffs, gaps = {}, {}
-    for k in range(1, 2 * N):  # p_{2N} absent, exactly as printed
+    gaps = {}
+    for k in range(1, 2 * N):  # on rings p_{2N} is absent, exactly as printed
         prod = jz[_z_pair(k)] * jy[_y_pair(ladder, k)] * jz[_z_pair(k + 1)]
-        coeffs[f"p{k}"] = prod / (8 * jx**2)
-        gaps[f"p{k}"] = prod / (4 * jx**2)
-    return EffectiveResult(Boundary.CLOSED, e0, e2, coeffs, gaps)
-
-
-def effective(ladder: Ladder, split: PerturbationSplit) -> EffectiveResult:
-    if ladder.boundary is Boundary.OPEN:
-        return effective_open(ladder, split)
-    return effective_closed(ladder, split)
+        if not closed and k in (1, 2 * N - 1):
+            gaps[f"p{k}"] = prod / jx**2
+        else:
+            gaps[f"p{k}"] = prod / (4 * jx**2)
+    return EffectiveResult(e0, e2, gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +148,6 @@ class PerturbationValidation:
     e_free_exact: float
     rows: tuple[GapRow, ...]
 
-    def row(self, plaquette: str) -> GapRow:
-        for r in self.rows:
-            if r.plaquette == plaquette:
-                return r
-        raise KeyError(plaquette)
-
 
 def _plaquette_names(ladder: Ladder) -> list[str]:
     return [n for n in ladder.cycle_names if n != "big"]
@@ -209,7 +161,7 @@ def _sector_minima(ladder: Ladder, h, names, targets):
     """
     ops = {name: spin_ed.vortex_operator(ladder, name) for name in names}
     tapering = spin_ed.taper(h, ops)
-    grounds = {key: spin_ed.dense_lowest(tapering.blocks[key], 1) for key in targets}
+    grounds = {key: spin_ed.dense_lowest(tapering.blocks[key]) for key in targets}
     minima = {key: float(rep.eigenvalues[0]) for key, rep in grounds.items()}
     vectors = np.column_stack([tapering.lift(key, grounds[key].vectors) for key in targets])
     labels = spin_ed.label_eigenstates(h, ops, vectors)

@@ -102,8 +102,7 @@ def _check_theta(n: int, theta: Mapping[int, int]) -> None:
 # polynomial algebra
 
 def _merge_sign(seq: list[int]) -> tuple[tuple[int, ...], int]:
-    """Canonically order a generator word; adjacent swaps cost -1, equal
-    neighbors annihilate (c^2 = 1)."""
+    """Sort a word of distinct generators; each adjacent swap costs -1."""
     sign = 1
     for i in range(1, len(seq)):
         j = i
@@ -111,13 +110,7 @@ def _merge_sign(seq: list[int]) -> tuple[tuple[int, ...], int]:
             seq[j - 1], seq[j] = seq[j], seq[j - 1]
             sign = -sign
             j -= 1
-    out: list[int] = []
-    for v in seq:
-        if out and out[-1] == v:
-            out.pop()
-        else:
-            out.append(v)
-    return tuple(out), sign
+    return tuple(seq), sign
 
 
 class MajoranaPolynomial:
@@ -152,27 +145,6 @@ class MajoranaPolynomial:
             out._accumulate(mono, c)
         return out
 
-    def __sub__(self, other: "MajoranaPolynomial") -> "MajoranaPolynomial":
-        out = MajoranaPolynomial(self.n, self.terms)
-        for mono, c in other.terms.items():
-            out._accumulate(mono, -c)
-        return out
-
-    def __mul__(self, other):
-        if isinstance(other, MajoranaPolynomial):
-            out = MajoranaPolynomial(self.n)
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mono, sign = _merge_sign(list(m1) + list(m2))
-                    out._accumulate(mono, sign * c1 * c2)
-            return out
-        out = MajoranaPolynomial(self.n)
-        for mono, c in self.terms.items():
-            out._accumulate(mono, c * other)
-        return out
-
-    __rmul__ = __mul__
-
     @property
     def is_even(self) -> bool:
         return all(len(m) % 2 == 0 for m in self.terms)
@@ -191,12 +163,18 @@ class MajoranaPolynomial:
         )
 
     def to_matrix(self) -> np.ndarray:
-        """Dense matrix: each monomial's strings multiplied in index order, summed in term order."""
-        strings = fock_majoranas(self.n).strings
-        op = SpinOperator(self.n // 2)
-        for mono, c in self.terms.items():
-            op.add_string(_monomial_string(strings, mono), c)
-        return np.asarray(op.to_dense(), dtype=complex)
+        """Dense matrix of ``_fock_operator``."""
+        return np.asarray(_fock_operator(self).to_dense(), dtype=complex)
+
+
+def _fock_operator(poly: MajoranaPolynomial) -> SpinOperator:
+    """The polynomial as a Pauli-string sum: each monomial's strings multiplied
+    in index order, added in term order."""
+    strings = fock_majoranas(poly.n).strings
+    op = SpinOperator(poly.n // 2)
+    for mono, c in poly.terms.items():
+        op.add_string(_monomial_string(strings, mono), c)
+    return op
 
 
 def _monomial_string(strings: tuple[PauliString, ...], mono: tuple[int, ...]) -> PauliString:
@@ -251,11 +229,11 @@ def split_by_side(poly: MajoranaPolynomial) -> tuple[MajoranaPolynomial, ...]:
 # functionals and checks
 
 def _hermitian_matrix(h: MajoranaPolynomial) -> np.ndarray:
-    mat = h.to_matrix()
-    scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-    if np.abs(mat - mat.conj().T).max(initial=0.0) > SYMMETRY_TOL * scale:
+    """Dense matrix of h, checked exactly Hermitian on its Pauli strings first."""
+    op = _fock_operator(h)
+    if not op.is_hermitian():
         raise MalformedMatrixError("Hamiltonian is not Hermitian in the Fock representation")
-    return mat
+    return np.asarray(op.to_dense(), dtype=complex)
 
 
 @lru_cache(maxsize=32)
@@ -368,10 +346,8 @@ def doubled_hamiltonians(
 
 @dataclass(frozen=True)
 class TraceBoundReport:
-    beta: float
-    lhs: float          # Tr e^{-beta H}
     rhs: float          # sqrt(Tr e^{-beta H1}) sqrt(Tr e^{-beta H2})
-    margin: float       # lhs - rhs; holds when <= 1e-8 * rhs
+    margin: float       # Tr e^{-beta H} - rhs; holds when <= 1e-8 * rhs
 
     @property
     def holds(self) -> bool:
@@ -386,7 +362,7 @@ def trace_bound_check(
 ) -> TraceBoundReport:
     lhs, t1, t2 = (float(np.trace(_gibbs(h, beta)).real) for h in (H, H1, H2))
     rhs = float(np.sqrt(t1) * np.sqrt(t2))
-    return TraceBoundReport(beta, lhs, rhs, lhs - rhs)
+    return TraceBoundReport(rhs, lhs - rhs)
 
 
 @dataclass(frozen=True)

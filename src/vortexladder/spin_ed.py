@@ -117,32 +117,19 @@ class SpinOperator:
 
     # -- algebra ------------------------------------------------------------
 
-    def __add__(self, other: "SpinOperator") -> "SpinOperator":
-        out = SpinOperator(self.n_sites, self.terms)
-        for key, c in other.terms.items():
-            out._accumulate(key, c)
-        return out
-
     def __sub__(self, other: "SpinOperator") -> "SpinOperator":
         out = SpinOperator(self.n_sites, self.terms)
         for key, c in other.terms.items():
             out._accumulate(key, -c)
         return out
 
-    def __mul__(self, other):
-        if isinstance(other, SpinOperator):
-            out = SpinOperator(self.n_sites)
-            for (x1, z1), c1 in self.terms.items():
-                for (x2, z2), c2 in other.terms.items():
-                    ps = PauliString(x1, z1, 0) * PauliString(x2, z2, 0)
-                    out.add_string(ps, c1 * c2)
-            return out
+    def __mul__(self, other: "SpinOperator") -> "SpinOperator":
         out = SpinOperator(self.n_sites)
-        for key, c in self.terms.items():
-            out._accumulate(key, c * other)
+        for (x1, z1), c1 in self.terms.items():
+            for (x2, z2), c2 in other.terms.items():
+                ps = PauliString(x1, z1, 0) * PauliString(x2, z2, 0)
+                out.add_string(ps, c1 * c2)
         return out
-
-    __rmul__ = __mul__
 
     def commutator(self, other: "SpinOperator") -> "SpinOperator":
         return self * other - other * self
@@ -300,7 +287,6 @@ def cycle_operators(ladder: Ladder) -> dict[str, SpinOperator]:
 
 @dataclass
 class SpectrumReport:
-    method: str
     eigenvalues: np.ndarray
     vectors: np.ndarray | None = None      # dim x n, column i <-> eigenvalue i
     residuals: np.ndarray | None = None
@@ -310,21 +296,17 @@ def dense_spectrum(h: SpinOperator) -> SpectrumReport:
     """Full spectrum by dense diagonalization (2^{4N} <= 4096)."""
     if not h.is_hermitian():
         raise MalformedMatrixError("operator is not Hermitian")
-    return SpectrumReport("dense", np.linalg.eigvalsh(h.to_dense()))
+    return SpectrumReport(np.linalg.eigvalsh(h.to_dense()))
 
 
-def dense_lowest(h: SpinOperator, k: int) -> SpectrumReport:
-    """Lowest k eigenpairs of the dense matrix (k is capped at the dimension)."""
-    if k < 1:
-        raise GuardExceededError(f"k={k} must be >= 1")
+def dense_lowest(h: SpinOperator) -> SpectrumReport:
+    """Lowest eigenpair of the dense matrix."""
     if not h.is_hermitian():
         raise MalformedMatrixError("operator is not Hermitian")
     import scipy.linalg  # imported here: scipy costs every other CLI process ~0.4 s
 
-    mat = h.to_dense()
-    k = min(k, mat.shape[0])
-    w, v = scipy.linalg.eigh(mat, subset_by_index=(0, k - 1))
-    return SpectrumReport("dense", w, vectors=v)
+    w, v = scipy.linalg.eigh(h.to_dense(), subset_by_index=(0, 0))
+    return SpectrumReport(w, vectors=v)
 
 
 def lowest_eigenvalues(h: SpinOperator, k: int, seed: int) -> SpectrumReport:
@@ -334,14 +316,12 @@ def lowest_eigenvalues(h: SpinOperator, k: int, seed: int) -> SpectrumReport:
         raise GuardExceededError(f"{h.n_sites} spins exceeds the guard ({MAX_ITER_SPINS})")
     if not (1 <= k <= MAX_ITER_K):
         raise GuardExceededError(f"k={k} outside 1..{MAX_ITER_K}")
+    dim = h.dim
+    if k >= dim - 1:  # ARPACK's limit; every ladder has dim - 1 >= 255 > MAX_ITER_K
+        raise GuardExceededError(f"k={k} needs k < dim - 1 = {dim - 1}")
     if not h.is_hermitian():
         raise MalformedMatrixError("operator is not Hermitian")
     applier = h.compiled()
-    dim = applier.dim
-    if k >= dim - 1:  # ARPACK needs k < dim - 1; tiny problems go dense
-        rep = dense_lowest(h, k)
-        rep.residuals = np.zeros(len(rep.eigenvalues))
-        return rep
     import scipy.sparse.linalg  # imported here, as in dense_lowest
 
     rng = np.random.default_rng(seed)
@@ -360,7 +340,7 @@ def lowest_eigenvalues(h: SpinOperator, k: int, seed: int) -> SpectrumReport:
     )
     if residuals.max(initial=0.0) > RESIDUAL_TOL * max(1.0, h.coefficient_norm()):
         raise ConvergenceError(f"residuals {residuals} exceed {RESIDUAL_TOL}")
-    return SpectrumReport("iterative-lowest", w, vectors=v, residuals=residuals)
+    return SpectrumReport(w, vectors=v, residuals=residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -62,3 +62,19 @@ def test_benchmark_jobs_parse_with_the_cli(bench):
             assert job.command in cli._COMMANDS, job.name
             args = parser.parse_args(job.cli_args("c.json", "o.json"))
             assert (args.command, args.seed, args.threads) == (job.command, job.seed, job.threads)
+
+
+@pytest.mark.parametrize("seed", [101, 202])
+def test_benchmark_job_configs_run_through_the_cli(bench, tmp_path, seed):
+    """Every small job of every workload exits 0 through ``cli.main`` and
+    passes its artifact check; the benchmark counts any other exit, such as
+    a config key the CLI rejects, as a failed operation."""
+    from vortexladder import cli
+
+    workloads = sys.modules["workloads"]
+    for workload in workloads.WORKLOADS:
+        for job in workloads.jobs(workload, seed, small=True):
+            config, out = tmp_path / f"{job.name}.json", tmp_path / f"{job.name}.out"
+            config.write_bytes(job.config_bytes())
+            assert cli.main(job.cli_args(str(config), str(out))) == 0, (workload, job.name)
+            job.check(out.read_bytes())

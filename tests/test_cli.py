@@ -435,12 +435,42 @@ def test_min_functional_checks(monkeypatch):
         cli._min_functional(samples, h, theta, [1.0], 2)
     # a near-tie closer than rounding: both pairs go to rp_functional
     calls = _count_rp_functional(monkeypatch)
-    near = [samples[0], samples[0] * (1 + 2.0 ** -48)]
+    nudged = {mono: c * (1 + 2.0 ** -48) for mono, c in samples[0].terms.items()}
+    near = [samples[0], rp.MajoranaPolynomial(n, nudged)]
     assert cli._min_functional(near, h, theta, [1.0], 4) == min(calls) and len(calls) == 2
     real = rp.reflection_gram
     monkeypatch.setattr(rp, "reflection_gram", lambda *args: 1j * real(*args))
     with pytest.raises(MalformedMatrixError):
         cli._min_functional(samples, h, theta, [1.0], 4)
+
+
+def test_unknown_config_keys_are_config_errors(tmp_path, capsys):
+    """A key the command never asks about exits 2 naming its path, after the
+    run and before anything is written."""
+    out = tmp_path / "out.txt"
+    perturb = {"ladder": {"cells": 2}, "seed": 1, "jx": 1.0, "t": 0.01}
+    scan = {"ladder": {"boundary": "closed"}, "cells_range": [4, 5],
+            "couplings": {"preset": "decaying-top-closed"}}
+    cases = [
+        ("perturb", {**perturb, "ratio_guard": float("nan"), "tpyo": 3},
+         "config.ratio_guard: unknown key; config.tpyo: unknown key"),
+        ("perturb", {**perturb, "jy": 0.02}, "config.jy: unknown key"),  # "t" wins
+        ("gap-scan", {**scan, "ladder": {"boundary": "closed", "cells": 4}},
+         "config.ladder.cells: unknown key"),  # the range gives the cells
+        ("spectrum", {"ladder": {"cells": 2}, "couplings": {**HOMOG, "bonds": {"1-2": 1.0}},
+                      "method": "fermion"}, "config.couplings.bonds: unknown key"),
+        ("spectrum", {"ladder": {"cells": 2}, "couplings": HOMOG, "method": "spin-dense",
+                      "k": 3}, "config.k: unknown key"),
+    ]
+    for command, doc, message in cases:
+        assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+        assert f"config error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+    # seed, threads and tol are accepted by every command, as their flags are
+    doc = {"ladder": {"cells": 2}, "couplings": HOMOG, "method": "fermion",
+           "seed": 1, "threads": 1, "tol": 1e-8}
+    assert cli.main(["spectrum", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert cli.main(["perturb", "--config", write_config(tmp_path, perturb), "--seed", "2"]) == 0
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -333,16 +333,14 @@ def test_big_loop_gap_report():
     ring = build_ladder(3, "closed")
     cc = make_couplings("decaying-top-closed", ring, jx=1.0, jy=0.2, jz=2.0)
     rep = big_loop_gap(ring, cc, ["BL"])[0]
-    assert rep.pattern.values["big"] == -1
-    assert all(v == 1 for n, v in rep.pattern.values.items() if n != "big")
-    assert rep.gap == pytest.approx(rep.energy_pattern - rep.energy_free, abs=0)
+    big, free = pattern_sector(ring, {"big": -1}), pattern_sector(ring, {})
+    assert rep.gap == sector_ground_energy(ring, cc, big) - sector_ground_energy(ring, cc, free)
     assert rep.gap > 0
     # string, mapping and sector input forms agree
-    rep2 = big_loop_gap(ring, cc, [{"big": -1}])[0]
-    assert rep2.gap == rep.gap
+    assert big_loop_gap(ring, cc, [{"big": -1}])[0] == rep
+    assert big_loop_gap(ring, cc, [big])[0] == rep
     # one call per ladder: each report equals the one from its own call
-    reports = big_loop_gap(ring, cc, ["p2", rep.pattern, "BL+p2N"])
-    assert reports[1].pattern is rep.pattern  # a VortexSector passes through
+    reports = big_loop_gap(ring, cc, ["p2", big, "BL+p2N"])
     for r, pattern in zip(reports, ["p2", "BL", "BL+p2N"]):
         assert r == big_loop_gap(ring, cc, [pattern])[0]
 
@@ -361,10 +359,9 @@ def _reference_reports(ladder, cc, patterns):
         if ladder.boundary.value == "closed" and flipped == {"big"}:
             wrap = twisted_wrap_gap(skew, modes)
             if abs(wrap) <= floor:
-                out.append(("twisted", sec, energy_free + wrap, energy_free, wrap))
+                out.append(("twisted", wrap))
                 continue
-        energy = sector_ground_energy(ladder, cc, sec)
-        out.append(("difference", sec, energy, energy_free, energy - energy_free))
+        out.append(("difference", sector_ground_energy(ladder, cc, sec) - energy_free))
     return out
 
 
@@ -384,13 +381,10 @@ def test_stacked_pattern_solve_equals_per_sector_solves():
     for lad, cc, patterns in cases:
         reports = big_loop_gap(lad, cc, patterns)
         assert len(reports) == len(patterns)
-        for rep, (kind, sec, energy_pattern, energy_free, gap) in zip(
-                reports, _reference_reports(lad, cc, patterns)):
+        for rep, pattern, (kind, gap) in zip(
+                reports, patterns, _reference_reports(lad, cc, patterns)):
             kinds.add(kind)
-            assert rep.pattern == sec
-            assert rep.energy_pattern == energy_pattern, (lad.n_cells, lad.boundary, sec)
-            assert rep.energy_free == energy_free
-            assert rep.gap == gap
+            assert rep.gap == gap, (lad.n_cells, lad.boundary, pattern)
     assert kinds == {"difference", "twisted"}
 
 
@@ -410,10 +404,12 @@ def test_big_loop_gap_solves_a_ladder_once(monkeypatch):
 
     ring = build_ladder(4, "closed")
     cc = make_couplings("decaying-top-closed", ring, jx=1.0, jy=0.2, jz=2.0)
+    patterns = ["BL", "p3", "BL+p2N"]
+    want = [gap for _, gap in _reference_reports(ring, cc, patterns)]
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(gauge_mod, "_solve_gf2", counting_gf2)
-    reports = big_loop_gap(ring, cc, ["BL", "p3", "BL+p2N"])
-    assert [r.gap == r.energy_pattern - r.energy_free for r in reports] == [True] * 3
+    reports = big_loop_gap(ring, cc, patterns)
+    assert [r.gap for r in reports] == want
     assert calls["svd"] <= 2 and calls["gf2"] <= 2, calls
 
 
@@ -430,7 +426,8 @@ def test_twisted_wrap_gap_matches_resolved_difference():
         twisted = twisted_wrap_gap(skew, mode_spectrum(skew))
         rep = big_loop_gap(ring, cc, ["BL"])[0]
         # above the noise floor the report keeps the plain difference
-        diff = sector_ground_energy(ring, cc, rep.pattern) - sector_ground_energy(ring, cc, free)
+        big = pattern_sector(ring, {"big": -1})
+        diff = sector_ground_energy(ring, cc, big) - sector_ground_energy(ring, cc, free)
         assert rep.gap == diff
         assert twisted == pytest.approx(diff, rel=1e-8, abs=0)
 
@@ -526,12 +523,11 @@ def _check_gap_against_high_precision(n, reference):
     rep = big_loop_gap(ring, cc, ["BL"])[0]
     with mpmath.workdps(45):
         want = float(
-            _bipartite_ground_energy(ring, cc, rep.pattern, mpmath)
+            _bipartite_ground_energy(ring, cc, pattern_sector(ring, {"big": -1}), mpmath)
             - _bipartite_ground_energy(ring, cc, pattern_sector(ring, {}), mpmath)
         )
     assert want == pytest.approx(reference, rel=1e-10)
     assert rep.gap == pytest.approx(want, rel=1e-8, abs=0)
-    assert rep.energy_pattern == rep.energy_free + rep.gap
 
 
 def test_big_loop_gap_below_noise_floor_matches_high_precision():

@@ -18,9 +18,17 @@ from vortexladder.lattice import (
 )
 
 
-def crossing_bonds(ladder, refl):
+def negative_half(ladder, case):
+    """The half containing site 1: the bottom rail, or the columns 1..N."""
+    sites = range(1, ladder.n_sites + 1)
+    if ReflectionCase(case) is ReflectionCase.HORIZONTAL:
+        return frozenset(s for s in sites if ladder.rail(s) == 0)
+    return frozenset(s for s in sites if ladder.column(s) <= ladder.n_cells)
+
+
+def crossing_bonds(ladder, negative):
     """The bonds with one end on each side of the reflection."""
-    return {b for b in ladder.bonds if (b.i in refl.negative) != (b.j in refl.negative)}
+    return {b for b in ladder.bonds if (b.i in negative) != (b.j in negative)}
 
 
 def bonds_by_type(ladder):
@@ -151,26 +159,29 @@ def test_bond_between_rejects_non_bonds():
 
 def test_reflection_horizontal_n2():
     lad = build_ladder(2, "open")
-    r = reflection(lad, "horizontal")
-    assert r.case is ReflectionCase.HORIZONTAL
-    assert r.theta == {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5, 7: 8, 8: 7}
-    assert {b.pair for b in crossing_bonds(lad, r)} == {(1, 2), (3, 4), (5, 6), (7, 8)}
-    assert all(b.kind is BondType.Z for b in crossing_bonds(lad, r))
-    assert r.negative == frozenset({1, 4, 5, 8})  # bottom rail holds site 1
+    theta = reflection(lad, "horizontal")
+    assert theta == {1: 2, 2: 1, 3: 4, 4: 3, 5: 6, 6: 5, 7: 8, 8: 7}
+    negative = negative_half(lad, "horizontal")
+    assert negative == frozenset({1, 4, 5, 8})  # bottom rail holds site 1
+    assert {b.pair for b in crossing_bonds(lad, negative)} == {(1, 2), (3, 4), (5, 6), (7, 8)}
+    assert all(b.kind is BondType.Z for b in crossing_bonds(lad, negative))
 
 
 def test_reflection_vertical_open_n2():
     lad = build_ladder(2, "open")
-    r = reflection(lad, ReflectionCase.VERTICAL_OPEN)
-    assert r.theta == {1: 8, 2: 7, 3: 6, 4: 5, 5: 4, 6: 3, 7: 2, 8: 1}
-    assert {b.pair for b in crossing_bonds(lad, r)} == {(4, 5), (3, 6)}
-    assert r.negative == frozenset({1, 2, 3, 4})
+    theta = reflection(lad, ReflectionCase.VERTICAL_OPEN)
+    assert theta == {1: 8, 2: 7, 3: 6, 4: 5, 5: 4, 6: 3, 7: 2, 8: 1}
+    negative = negative_half(lad, "vertical-open")
+    assert negative == frozenset({1, 2, 3, 4})
+    assert {b.pair for b in crossing_bonds(lad, negative)} == {(4, 5), (3, 6)}
 
 
 def test_reflection_vertical_closed_crosses_twice():
     lad = build_ladder(2, "closed")
-    r = reflection(lad, "vertical-closed")
-    assert {b.pair for b in crossing_bonds(lad, r)} == {(4, 5), (3, 6), (1, 8), (2, 7)}
+    theta = reflection(lad, "vertical-closed")
+    assert theta == {k: 9 - k for k in range(1, 9)}
+    crossing = crossing_bonds(lad, negative_half(lad, "vertical-closed"))
+    assert {b.pair for b in crossing} == {(4, 5), (3, 6), (1, 8), (2, 7)}
 
 
 def test_reflection_case_boundary_compatibility():
@@ -194,14 +205,14 @@ def test_reflection_preserves_bond_types():
         (6, "closed", "vertical-closed"),
     ):
         lad = build_ladder(n, bnd)
-        r = reflection(lad, case)
+        theta = reflection(lad, case)
         for b in lad.bonds:
-            assert lad.bond_between(r.theta[b.i], r.theta[b.j]).kind is b.kind
+            assert lad.bond_between(theta[b.i], theta[b.j]).kind is b.kind
     for n, bnd in ((2, "open"), (3, "open"), (4, "closed"), (5, "closed")):
         lad = build_ladder(n, bnd)
-        r = reflection(lad, "horizontal")
+        theta = reflection(lad, "horizontal")
         for b in lad.bonds:
-            assert lad.bond_between(r.theta[b.i], r.theta[b.j]).kind is swap[b.kind]
+            assert lad.bond_between(theta[b.i], theta[b.j]).kind is swap[b.kind]
 
 
 def test_reflection_is_involution_exchanging_halves():
@@ -211,8 +222,9 @@ def test_reflection_is_involution_exchanging_halves():
         (4, "closed", "vertical-closed"),
     ):
         lad = build_ladder(n, bnd)
-        r = reflection(lad, case)
-        assert all(r.theta[r.theta[s]] == s for s in r.theta)
-        assert all(r.theta[s] != s for s in r.theta)
-        assert all((s in r.negative) != (r.theta[s] in r.negative) for s in r.theta)
-        assert len(r.negative) == lad.n_sites // 2
+        theta = reflection(lad, case)
+        negative = negative_half(lad, case)
+        assert all(theta[theta[s]] == s for s in theta)
+        assert all(theta[s] != s for s in theta)
+        assert all((s in negative) != (theta[s] in negative) for s in theta)
+        assert len(negative) == lad.n_sites // 2

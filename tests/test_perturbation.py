@@ -17,9 +17,9 @@ from vortexladder.lattice import BondType, build_ladder
 from vortexladder.perturbation import (
     RATIO_GUARD,
     PerturbationSplit,
+    _y_pair,
+    _z_pair,
     effective,
-    effective_closed,
-    effective_open,
     validate_against_ed,
 )
 
@@ -29,55 +29,84 @@ def test_open_formula_frozen_nonuniform():
     jz = {(1, 2): 0.01, (3, 4): 0.02, (5, 6): 0.03, (7, 8): 0.04}
     jy = {(1, 4): 0.05, (3, 6): 0.06, (5, 8): 0.07}
     split = PerturbationSplit(1.0, jy, jz)
-    res = effective_open(lad, split)
+    res = effective(lad, split)
     assert res.e0 == -3.0
     # z^2 sum 30e-4, y^2 sum 110e-4, boundary double counts 91e-4
     assert res.e2 == pytest.approx(-0.005775, rel=1e-12)
-    assert res.coeffs["p1"] == pytest.approx(0.01 * 0.02 * 0.05 / 2, rel=1e-12)
-    assert res.coeffs["p2"] == pytest.approx(0.02 * 0.03 * 0.06 / 8, rel=1e-12)
-    assert res.coeffs["p3"] == pytest.approx(0.03 * 0.04 * 0.07 / 2, rel=1e-12)
-    for name in ("p1", "p2", "p3"):
-        assert res.gaps[name] == pytest.approx(2 * res.coeffs[name], rel=1e-12)
+    assert res.gaps["p1"] == pytest.approx(0.01 * 0.02 * 0.05, rel=1e-12)
+    assert res.gaps["p2"] == pytest.approx(0.02 * 0.03 * 0.06 / 4, rel=1e-12)
+    assert res.gaps["p3"] == pytest.approx(0.03 * 0.04 * 0.07, rel=1e-12)
 
 
 def test_closed_formula_frozen_uniform():
     ring = build_ladder(3, "closed")
     split = PerturbationSplit.from_uniform(ring, 2.0, 0.1)
-    res = effective_closed(ring, split)
+    res = effective(ring, split)
     assert res.e0 == -12.0
     assert res.e2 == pytest.approx(-0.015, rel=1e-12)  # 12 t^2 / (4 jx)
-    assert set(res.coeffs) == {"p1", "p2", "p3", "p4", "p5"}  # p6 absent as printed
-    for name, c in res.coeffs.items():
-        assert c == pytest.approx(0.1**3 / 32, rel=1e-12)
-        assert res.gaps[name] == pytest.approx(0.1**3 / 16, rel=1e-12)
+    assert set(res.gaps) == {"p1", "p2", "p3", "p4", "p5"}  # p6 absent as printed
+    for gap in res.gaps.values():
+        assert gap == pytest.approx(0.1**3 / 16, rel=1e-12)
 
 
-def test_effective_pattern_energy():
-    ring = build_ladder(3, "closed")
-    split = PerturbationSplit.from_uniform(ring, 2.0, 0.1)
-    res = effective(ring, split)
-    free = {n: 1 for n in res.coeffs}
-    assert res.e3(free) == pytest.approx(-sum(res.coeffs.values()), rel=1e-12)
-    flipped = dict(free, p2=-1)
-    assert res.e3(flipped) - res.e3(free) == pytest.approx(res.gaps["p2"], rel=1e-10)
-    assert res.energy(free) == pytest.approx(res.e0 + res.e2 + res.e3(free), rel=1e-12)
-    with pytest.raises(InvalidSpecError):
-        res.e3({"p1": 1})  # missing plaquettes
-    with pytest.raises(InvalidSpecError):
-        res.e3(dict(free, p1=0))
+def _printed_open(lad, split):
+    """The open-ladder formulas as printed, one expression per term."""
+    N, jx, jy, jz = lad.n_cells, split.jx, split.jy, split.jz
+    e0 = -jx * (2 * N - 1)
+    bracket = sum(jy[_y_pair(lad, m)] ** 2 for m in range(1, 2 * N))
+    bracket += sum(jz[_z_pair(j)] ** 2 for j in range(1, 2 * N + 1))
+    bracket += jy[_y_pair(lad, 1)] ** 2 + jy[_y_pair(lad, 2 * N - 1)] ** 2
+    bracket += jz[_z_pair(1)] ** 2 + jz[_z_pair(2 * N)] ** 2
+    gaps = {}
+    for k in range(1, 2 * N):
+        prod = jz[_z_pair(k)] * jy[_y_pair(lad, k)] * jz[_z_pair(k + 1)]
+        gaps[f"p{k}"] = prod / jx**2 if k in (1, 2 * N - 1) else prod / (4 * jx**2)
+    return e0, -bracket / (4 * jx), gaps
+
+
+def _printed_closed(ring, split):
+    """The closed-ladder formulas as printed: no p_{2N} gap."""
+    N, jx, jy, jz = ring.n_cells, split.jx, split.jy, split.jz
+    e0 = -jx * 2 * N
+    bracket = sum(jy[_y_pair(ring, m)] ** 2 for m in range(1, 2 * N))
+    bracket += sum(jz[_z_pair(j)] ** 2 for j in range(1, 2 * N + 1))
+    bracket += jy[_y_pair(ring, 2 * N)] ** 2
+    gaps = {}
+    for k in range(1, 2 * N):
+        prod = jz[_z_pair(k)] * jy[_y_pair(ring, k)] * jz[_z_pair(k + 1)]
+        gaps[f"p{k}"] = prod / (4 * jx**2)
+    return e0, -bracket / (4 * jx), gaps
+
+
+@pytest.mark.parametrize("boundary, cells", [("open", 2), ("open", 3), ("open", 4),
+                                             ("closed", 3), ("closed", 4)])
+def test_effective_is_the_printed_formula_bit_for_bit(boundary, cells):
+    lad = build_ladder(cells, boundary)
+    printed = _printed_open if boundary == "open" else _printed_closed
+    rng = np.random.default_rng(60 + cells)
+    for _ in range(20):
+        jx = float(rng.uniform(0.5, 2.0))
+        weak = {b.pair: float(rng.uniform(0.0, RATIO_GUARD * jx)) for b in lad.bonds}
+        split = PerturbationSplit(
+            jx,
+            {pair: w for pair, w in weak.items() if lad.bond_map[pair].kind is BondType.Y},
+            {pair: w for pair, w in weak.items() if lad.bond_map[pair].kind is BondType.Z},
+        )
+        res = effective(lad, split)
+        e0, e2, gaps = printed(lad, split)
+        assert res.e0 == e0 and res.e2 == e2
+        assert list(res.gaps) == list(gaps)
+        assert all(res.gaps[name] == gap for name, gap in gaps.items())
 
 
 def test_boundary_dispatch_and_small_ring_guard():
-    lad = build_ladder(2, "open")
-    ring = build_ladder(2, "closed")
-    split_o = PerturbationSplit.from_uniform(lad, 1.0, 0.05)
-    split_c = PerturbationSplit.from_uniform(ring, 1.0, 0.05)
+    lad = build_ladder(3, "open")
+    ring = build_ladder(3, "closed")
+    assert effective(lad, PerturbationSplit.from_uniform(lad, 1.0, 0.05)).e0 == -5.0
+    assert effective(ring, PerturbationSplit.from_uniform(ring, 1.0, 0.05)).e0 == -6.0
+    small = build_ladder(2, "closed")
     with pytest.raises(InvalidSpecError):
-        effective_open(ring, split_c)
-    with pytest.raises(InvalidSpecError):
-        effective_closed(lad, split_o)
-    with pytest.raises(InvalidSpecError):
-        effective(ring, split_c)  # printed ring formulas assume N > 2
+        effective(small, PerturbationSplit.from_uniform(small, 1.0, 0.05))  # N > 2 assumed
 
 
 def test_exact_quadratic_and_cubic_scaling_of_formulas():
@@ -86,8 +115,8 @@ def test_exact_quadratic_and_cubic_scaling_of_formulas():
     b = effective(lad, PerturbationSplit.from_uniform(lad, 1.0, 0.04))
     # powers of two make the algebraic scaling exact in floating point
     assert b.e2 * 4 == a.e2
-    for name in a.coeffs:
-        assert b.coeffs[name] * 8 == a.coeffs[name]
+    for name in a.gaps:
+        assert b.gaps[name] * 8 == a.gaps[name]
 
 
 def test_split_construction_and_guards():
@@ -122,11 +151,7 @@ def test_validation_rows_open_n2():
         assert r.abs_err == pytest.approx(abs(r.delta_e_exact - r.delta_e_formula))
         assert r.rel_err == pytest.approx(r.abs_err / r.delta_e_exact)
     # mirror symmetry of the uniform ladder
-    assert val.row("p1").delta_e_exact == pytest.approx(
-        val.row("p3").delta_e_exact, rel=1e-9
-    )
-    with pytest.raises(KeyError):
-        val.row("p9")
+    assert val.rows[0].delta_e_exact == pytest.approx(val.rows[2].delta_e_exact, rel=1e-9)
 
 
 def test_validation_zero_coupling_gaps_vanish():
@@ -137,7 +162,7 @@ def test_validation_zero_coupling_gaps_vanish():
     for r in val.rows:
         assert r.delta_e_formula == 0.0
         assert abs(r.delta_e_exact) < 1e-12
-    assert val.row("p1").delta_e_exact == 0.0 and val.row("p1").rel_err is None
+    assert val.rows[0].delta_e_exact == 0.0 and val.rows[0].rel_err is None
 
     # jz = 0 leaves every flipped sector degenerate with the free one: each
     # exact gap is exactly zero, and a zero gap has no relative error
@@ -154,8 +179,8 @@ def test_minimum_gaps_scale_cubically_at_n2():
     lad = build_ladder(2, "open")
     va = validate_against_ed(lad, PerturbationSplit.from_uniform(lad, 1.0, 0.02))
     vb = validate_against_ed(lad, PerturbationSplit.from_uniform(lad, 1.0, 0.01))
-    for name in ("p1", "p2", "p3"):
-        ratio = vb.row(name).delta_e_exact / va.row(name).delta_e_exact
+    for a, b in zip(va.rows, vb.rows, strict=True):
+        ratio = b.delta_e_exact / a.delta_e_exact
         assert abs(ratio - 0.125) < 0.0125  # within 10% of the cubic law
 
 
@@ -163,9 +188,10 @@ def test_formula_error_shrinks_faster_than_cubic_at_n3():
     lad = build_ladder(3, "open")
     va = validate_against_ed(lad, PerturbationSplit.from_uniform(lad, 1.0, 0.02))
     vb = validate_against_ed(lad, PerturbationSplit.from_uniform(lad, 1.0, 0.01))
-    for name in ("p1", "p2", "p3", "p4", "p5"):
-        assert vb.row(name).abs_err < 0.125 * va.row(name).abs_err
-        assert vb.row(name).rel_err < va.row(name).rel_err
+    assert [r.plaquette for r in vb.rows] == ["p1", "p2", "p3", "p4", "p5"]
+    for a, b in zip(va.rows, vb.rows, strict=True):
+        assert b.abs_err < 0.125 * a.abs_err
+        assert b.rel_err < a.rel_err
 
 
 def test_validation_closed_ring_reports_unmatched_plaquette():
@@ -173,7 +199,7 @@ def test_validation_closed_ring_reports_unmatched_plaquette():
     split = PerturbationSplit.from_uniform(ring, 1.0, 0.04)
     val = validate_against_ed(ring, split)
     assert [r.plaquette for r in val.rows] == ["p1", "p2", "p3", "p4", "p5", "p6"]
-    p6 = val.row("p6")
+    p6 = val.rows[5]
     assert p6.delta_e_formula is None and p6.abs_err is None and p6.rel_err is None
     assert p6.delta_e_exact > 0  # the gap exists; only the printed formula is missing
     # ring symmetry: all six measured single-flip gaps agree

@@ -83,7 +83,7 @@ def test_preset_name_round_trip():
 
 def test_homogeneous_invariant_under_vertical_reflection():
     lad = build_ladder(4, Boundary.OPEN)
-    theta = reflection(lad, ReflectionCase.VERTICAL_OPEN).theta
+    theta = reflection(lad, ReflectionCase.VERTICAL_OPEN)
     hom = make_couplings(Preset.HOMOGENEOUS, lad, jx=1.1, jy=0.7, jz=1.3)
     assert all(
         hom[pair] == hom[tuple(sorted((theta[pair[0]], theta[pair[1]])))]

@@ -163,7 +163,6 @@ def test_dense_spectrum_matches_numpy_and_guards():
     cc = CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3)
     h = build_spin_hamiltonian(lad, cc)
     rep = dense_spectrum(h)
-    assert rep.method == "dense"
     want = np.linalg.eigvalsh(h.to_dense())
     assert np.allclose(rep.eigenvalues, want, atol=1e-12)
     big = build_ladder(4, "open")  # 16 spins > dense guard
@@ -173,15 +172,15 @@ def test_dense_spectrum_matches_numpy_and_guards():
 
 
 def test_dense_lowest_prefix():
+    """The lowest eigenpair: the one-level prefix of the full spectrum."""
     lad = build_ladder(2, "open")
     h = build_spin_hamiltonian(lad, CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3))
     full = dense_spectrum(h).eigenvalues
-    low = dense_lowest(h, 40).eigenvalues
-    assert low.shape == (40,)
-    assert np.allclose(low, full[:40], atol=1e-12)
-    for k in (0, -1):
-        with pytest.raises(GuardExceededError):
-            dense_lowest(h, k)
+    low = dense_lowest(h)
+    assert low.eigenvalues.shape == (1,) and low.vectors.shape == (h.dim, 1)
+    assert np.allclose(low.eigenvalues, full[:1], atol=1e-12)
+    resid = h.to_dense() @ low.vectors - low.vectors * low.eigenvalues
+    assert np.linalg.norm(resid) <= 1e-10
 
 
 def test_iterative_lowest_matches_dense():
@@ -189,25 +188,19 @@ def test_iterative_lowest_matches_dense():
     h = build_spin_hamiltonian(lad, CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3))
     dense = dense_spectrum(h).eigenvalues
     it = lowest_eigenvalues(h, k=6, seed=3)
-    assert it.method == "iterative-lowest"
     assert np.allclose(it.eigenvalues, dense[:6], atol=1e-9)
+    assert it.residuals.shape == (6,)
     with pytest.raises(GuardExceededError):
         lowest_eigenvalues(h, k=255, seed=3)  # k capped at 64
 
-    # k pushing against the dimension falls back to a dense solve
+    # ARPACK needs k < dim - 1; every ladder has room (2^8 - 1 > 64), a 6-spin chain not
     chain = SpinOperator(6)
     for s in range(1, 6):
         chain.add_string(sigma("z", s) * sigma("z", s + 1), -1.0)
     for s in range(1, 7):
         chain.add_string(sigma("x", s), -0.4)
-    fb = lowest_eigenvalues(chain, k=63, seed=3)
-    want = dense_spectrum(chain).eigenvalues[:63]
-    assert fb.method == "dense"
-    assert np.allclose(fb.eigenvalues, want, atol=1e-9)
-    assert fb.vectors.shape == (64, 63)
-    assert np.array_equal(fb.residuals, np.zeros(63))
-    resid = chain.to_dense() @ fb.vectors - fb.vectors * fb.eigenvalues
-    assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-10
+    with pytest.raises(GuardExceededError):
+        lowest_eigenvalues(chain, k=63, seed=3)
 
 
 def _lifted_eigenpairs(lad, h):
@@ -216,10 +209,10 @@ def _lifted_eigenpairs(lad, h):
     tap = taper(h, cycle_operators(lad))
     values, vectors, keys = [], [], []
     for key, block in tap.blocks.items():
-        rep = dense_lowest(block, block.dim)
-        values.append(rep.eigenvalues)
-        vectors.append(tap.lift(key, rep.vectors))
-        keys += [key] * len(rep.eigenvalues)
+        w, v = np.linalg.eigh(block.to_dense())
+        values.append(w)
+        vectors.append(tap.lift(key, v))
+        keys += [key] * len(w)
     return np.concatenate(values), np.hstack(vectors), keys
 
 
@@ -311,17 +304,17 @@ def test_taper_blocks_are_exact(n, boundary):
         levels = many_body_spectrum(
             mode_spectrum(assemble_skew(lad, cc, gauge_for_sector(lad, sec)))
         )
-        rep = dense_lowest(tap.blocks[key], tap.blocks[key].dim)
+        w, v = np.linalg.eigh(tap.blocks[key].to_dense())
         if boundary == "open":  # each fermion level twice
-            assert np.max(np.abs(rep.eigenvalues - np.sort(np.repeat(levels, 2)))) <= 1e-10
+            assert np.max(np.abs(w - np.sort(np.repeat(levels, 2)))) <= 1e-10
         else:  # one parity's half of the sector's levels
-            assert 2 * len(rep.eigenvalues) == len(levels)
-            assert _is_submultiset(rep.eigenvalues, levels, 1e-10)
+            assert 2 * len(w) == len(levels)
+            assert _is_submultiset(w, levels, 1e-10)
         for name, op in ops.items():
             reduced = _restrict(_rotate(op, tap.anchors, tap.generators), tap.pivots, tap.signs[key])
             assert reduced.terms == {(0, 0): sec.values[name]}
-        psi = tap.lift(key, rep.vectors[:, :16])
-        resid = applier.matmat(psi) - psi * rep.eigenvalues[:16]
+        psi = tap.lift(key, v[:, :16])
+        resid = applier.matmat(psi) - psi * w[:16]
         assert np.max(np.linalg.norm(resid, axis=0)) <= 1e-10
         assert np.allclose(psi.T @ psi, np.eye(psi.shape[1]), atol=1e-12)
 
@@ -341,8 +334,8 @@ def test_taper_rejects_bad_operator_lists(monkeypatch):
                           "z1": SpinOperator(8).add_string(sigma("z", 1))},
         "dependent": {**ops, "p1p2": ops["p1"] * ops["p2"]},
         "not a symmetry of H": {"z1": SpinOperator(8).add_string(sigma("z", 1))},
-        "coefficient 2": {"p1": ops["p1"] * 2.0},
-        "two strings": {"p1": ops["p1"] + ops["p2"]},
+        "coefficient 2": {"p1": SpinOperator(8, {k: 2.0 * c for k, c in ops["p1"].terms.items()})},
+        "two strings": {"p1": SpinOperator(8, {**ops["p1"].terms, **ops["p2"].terms})},
         "wrong site count": {"p1": SpinOperator(9, ops["p1"].terms)},
     }
     for case, operators in bad.items():
@@ -394,7 +387,7 @@ def test_operator_misc_and_guards():
         SpinOperator(2, {(4, 0): 1.0})  # mask beyond the site count
     h = SpinOperator(2).add_string(sigma("z", 1), 2.0).add_string(sigma("x", 2), -0.5)
     assert h.coefficient_norm() == pytest.approx(2.5)
-    assert not (1.0j * h).is_hermitian()
+    assert not SpinOperator(2, {k: 1.0j * c for k, c in h.terms.items()}).is_hermitian()
     # a NaN coefficient equals nothing, so it fails the check
     assert not SpinOperator(1, {(0, 1): np.nan}).is_hermitian()
 
@@ -402,7 +395,7 @@ def test_operator_misc_and_guards():
 def test_nan_coefficient_is_a_malformed_matrix():
     h = SpinOperator(2, {(0, 1): np.nan, (1, 0): 1.0})
     assert not h.is_hermitian()
-    for solve in (spin_ed.dense_spectrum, lambda op: spin_ed.dense_lowest(op, 1),
+    for solve in (spin_ed.dense_spectrum, spin_ed.dense_lowest,
                   lambda op: spin_ed.lowest_eigenvalues(op, 1, seed=0)):
         with pytest.raises(MalformedMatrixError):
             solve(h)
