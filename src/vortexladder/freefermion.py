@@ -36,6 +36,7 @@ takes about log2(2N) vectorized levels.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -80,7 +81,7 @@ class CouplingConfig:
         if set(self.values) != set(ladder.bond_map):
             raise InvalidSpecError("couplings do not cover exactly the ladder bonds")
         for pair, val in self.values.items():
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise InvalidSpecError(f"coupling {pair} is not finite")
 
 
@@ -519,10 +520,12 @@ def big_loop_gap(
 
     The vortex-free sector is solved once (``gauge_for_sector``,
     ``assemble_skew``, ``mode_spectrum``).  Every pattern sector left to
-    solve gets its co-tree flips from one ``gauge.cotree_flips`` elimination
-    for all of them; its block M is the free one with the entry of each
-    co-tree bond the two gauges disagree on negated, and one stacked SVD
-    solves them all.  The same-parity check runs first, before any solve.
+    solve gets its co-tree flips from one ``gauge.cotree_flips`` call, which
+    back-substitutes into the elimination that the ladder's cycle system
+    made for the free sector; its block M is the free one with the entry of
+    each co-tree bond the two gauges disagree on negated, and one stacked
+    SVD solves them all.  The same-parity check runs first, before any
+    solve.
     """
     _check_bipartite(couplings)
     free = pattern_sector(ladder, {})

@@ -14,11 +14,18 @@ loop (p1, p2, ..., and "big" on a ring).
 Sector ids pack the basis values into a bitmask (bit set = value -1) with
 the first cycle name in the most significant position, so ascending id
 order is plain counter order with +1 before -1.
+
+Each ladder keeps one cycle system (``Ladder.cycle_system``), made on
+first use: the co-tree of a spanning tree, the all-(+1) sector and one
+forward elimination of the cycle/co-tree matrix over GF(2).  Each
+representative gauge (``gauge_for_sector``, ``cotree_flips``) is one back
+substitution into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -79,9 +86,14 @@ def vortex_value(gauge: GaugeConfig, loop: Loop) -> int:
 
 
 def sector_of(ladder: Ladder, gauge: GaugeConfig) -> VortexSector:
+    """The sector of ``gauge``: each basis loop's ``vortex_value``, read off
+    the ladder's ``cycle_bonds``.  A step against its bond's orientation
+    reads -u, so a loop with k such steps has value -(-1)^k prod u."""
     if set(gauge.u) != set(ladder.bond_map):
         raise InvalidSpecError("gauge does not cover exactly the ladder bonds")
-    values = {name: vortex_value(gauge, loop) for name, loop in ladder.cycles.items()}
+    u = gauge.u
+    values = {name: (1 if backward % 2 else -1) * prod(map(u.__getitem__, pairs))
+              for name, (pairs, backward) in zip(ladder.cycle_names, ladder.cycle_bonds)}
     return VortexSector(values, sector_id(ladder, values))
 
 
@@ -145,18 +157,10 @@ def spanning_cotree(ladder: Ladder) -> tuple[list[tuple[int, int]], list[tuple[i
     return tree, cotree
 
 
-def cycle_cotree_matrix(ladder: Ladder, cotree: list[tuple[int, int]]) -> list[int]:
+def cycle_cotree_matrix(ladder: Ladder, cotree: Sequence[tuple[int, int]]) -> list[int]:
     """Row r = bitmask of co-tree bonds used by cycle-basis loop r."""
     col = {pair: c for c, pair in enumerate(cotree)}
-    rows = []
-    for loop in ladder.cycles.values():
-        mask = 0
-        for a, b in zip(loop, loop[1:] + loop[:1]):
-            pair = (a, b) if a < b else (b, a)
-            if pair in col:
-                mask |= 1 << col[pair]
-        rows.append(mask)
-    return rows
+    return [sum(1 << col[pair] for pair in pairs if pair in col) for pairs, _ in ladder.cycle_bonds]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -167,23 +171,20 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _solve_gf2(rows: list[int], rhs: Sequence[int]) -> list[int]:
-    """Solve rows . x = b over GF(2) for every b in ``rhs`` (bit r = row r's
-    value); row r carries b_k's bit r at bit n+k.  Each x comes back as a
-    bitmask; InconsistentSectorError if the rows are dependent.
+def _eliminate(rows: list[int]) -> list[int]:
+    """Forward elimination of ``rows`` over GF(2); InconsistentSectorError if
+    they are dependent.  Pivot c has bit c and no lower bit, and bit n + r
+    of it is set for each row r summed into it, so a right-hand side can
+    follow it later (``_back_substitute``).
 
-    Forward elimination clears column c only from the rows not yet used as
-    pivots, which leaves each pivot row with bit c and higher bits alone; a
-    column view (``cols[c]``: the rows holding bit c) finds pivots and the
-    rows to clear without a scan.  Each x is then one back substitution,
-    x_c = b_c + parity(row & x).  A cycle/co-tree matrix is nearly
-    bidiagonal and barely fills in, so both passes are near-linear in n.
+    Column c is cleared only from the rows not yet used as pivots, which
+    leaves each pivot row with bit c and higher bits alone; a column view
+    (``cols[c]``: the rows holding bit c) finds pivots and the rows to clear
+    without a scan.  A cycle/co-tree matrix is nearly bidiagonal and barely
+    fills in, so this is near-linear in n.
     """
     n = len(rows)
-    aug = [
-        row | sum(((b >> r) & 1) << (n + k) for k, b in enumerate(rhs))
-        for r, row in enumerate(rows)
-    ]
+    aug = [row | 1 << (n + r) for r, row in enumerate(rows)]
     cols = [0] * n
     for r, row in enumerate(rows):
         for c in _bits(row):
@@ -203,31 +204,66 @@ def _solve_gf2(rows: list[int], rhs: Sequence[int]) -> list[int]:
             aug[r] ^= aug[p]
         for c2 in _bits(aug[p] & low):
             cols[c2] ^= below
-    out = []
-    for k in range(len(rhs)):
-        x = 0
-        for c in range(n - 1, -1, -1):
-            row = pivots[c]
-            x |= (((row >> (n + k)) ^ (row & x).bit_count()) & 1) << c
-        out.append(x)
-    return out
+    return pivots
 
 
-def cotree_flips(ladder: Ladder, sids: Sequence[int]) -> tuple[list[tuple[int, int]], list[int]]:
+def _back_substitute(pivots: Sequence[int], b: int) -> int:
+    """The x (a bitmask) with rows . x = b, from the ``_eliminate`` pivots of
+    the rows; bit r of b is row r's value.  x_c = b'_c + parity(row_c & x),
+    where b'_c sums the bits of b that pivot c's row sum names."""
+    n = len(pivots)
+    x = 0
+    for c in range(n - 1, -1, -1):
+        row = pivots[c]
+        x |= ((((row >> n) & b).bit_count() ^ (row & x).bit_count()) & 1) << c
+    return x
+
+
+def _solve_gf2(rows: list[int], rhs: Sequence[int]) -> list[int]:
+    """Solve rows . x = b over GF(2) for every b in ``rhs`` (bit r = row r's
+    value): one forward elimination, then one back substitution per b.
+    Each x comes back as a bitmask; InconsistentSectorError if the rows are
+    dependent."""
+    pivots = _eliminate(rows)
+    return [_back_substitute(pivots, b) for b in rhs]
+
+
+@dataclass(frozen=True)
+class CycleSystem:
+    """What every gauge solve on one ladder shares: the co-tree bonds, the
+    sector id of the all-(+1) gauge, and the ``_eliminate`` pivots of the
+    cycle/co-tree rows, row b for sector-id bit b (the first cycle is the
+    most significant bit).  A ladder makes its own once, on first use
+    (``Ladder.cycle_system``)."""
+
+    cotree: tuple[tuple[int, int], ...]
+    sid0: int
+    pivots: tuple[int, ...]
+
+    @classmethod
+    def of(cls, ladder: Ladder) -> "CycleSystem":
+        _, cotree = spanning_cotree(ladder)
+        sid0 = sector_of(ladder, GaugeConfig.all_plus(ladder)).sector_id
+        rows = cycle_cotree_matrix(ladder, cotree)[::-1]
+        return cls(tuple(cotree), sid0, tuple(_eliminate(rows)))
+
+
+def cotree_flips(
+    ladder: Ladder, sids: Sequence[int]
+) -> tuple[tuple[tuple[int, int], ...], list[int]]:
     """Co-tree bonds and, per sector id, which of them carry u = -1 in the
     sector's representative gauge (bit c for ``cotree[c]``); every other bond,
     the spanning tree included, carries u = +1.
 
     The flips x solve C x = sid ^ sid0 over GF(2), where row b of C marks the
     co-tree bonds on the loop of sector-id bit b and sid0 is the sector of
-    the all-(+1) gauge.  One forward elimination of C serves every id, and
-    each id then takes one back substitution (``_solve_gf2``); C is nearly
-    bidiagonal, so a pass is near-linear in the number of cycles.
+    the all-(+1) gauge.  The ladder's cycle system holds one forward
+    elimination of C for every call, and each id takes one back
+    substitution; C is nearly bidiagonal, so both are near-linear in the
+    number of cycles.
     """
-    _, cotree = spanning_cotree(ladder)
-    rows = cycle_cotree_matrix(ladder, cotree)[::-1]  # first cycle = MSB
-    sid0 = sector_of(ladder, GaugeConfig.all_plus(ladder)).sector_id
-    return cotree, _solve_gf2(rows, [sid ^ sid0 for sid in sids])
+    system = ladder.cycle_system
+    return system.cotree, [_back_substitute(system.pivots, sid ^ system.sid0) for sid in sids]
 
 
 def gauge_for_sector(ladder: Ladder, sector: VortexSector | Mapping[str, int]) -> GaugeConfig:
@@ -240,7 +276,7 @@ def gauge_for_sector(ladder: Ladder, sector: VortexSector | Mapping[str, int]) -
 
 
 def gauge_from_flips(
-    ladder: Ladder, cotree: list[tuple[int, int]], x: int, values: Mapping[str, int]
+    ladder: Ladder, cotree: Sequence[tuple[int, int]], x: int, values: Mapping[str, int]
 ) -> GaugeConfig:
     """The gauge with u = -1 on the co-tree bonds set in ``x`` (bit c for
     ``cotree[c]``, as ``cotree_flips`` returns them) and u = +1 elsewhere,

@@ -19,9 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from .errors import InvalidLoopError, InvalidSpecError, UnsupportedReflectionError
+
+if TYPE_CHECKING:
+    from .gauge import CycleSystem
 
 
 class Boundary(str, Enum):
@@ -69,6 +72,34 @@ class Ladder:
     @cached_property
     def bond_map(self) -> dict[tuple[int, int], Bond]:
         return {b.pair: b for b in self.bonds}
+
+    @cached_property
+    def cycle_bonds(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+        """Per basis cycle, in ``cycles`` order: the canonical pair of each
+        step of the loop, and how many steps a -> b have a > b (they run
+        against their bond's orientation).  InvalidLoopError for a loop that
+        is not simple or steps off the ladder."""
+        out = []
+        for loop in self.cycles.values():
+            if len(loop) < 3 or len(set(loop)) != len(loop):
+                raise InvalidLoopError(f"{loop} is not a simple loop")
+            pairs, backward = [], 0
+            for a, b in zip(loop, loop[1:] + loop[:1]):
+                pair = (a, b) if a < b else (b, a)
+                if pair not in self.bond_map:
+                    raise InvalidLoopError(f"({pair[0]},{pair[1]}) is not a bond")
+                pairs.append(pair)
+                backward += a > b
+            out.append((tuple(pairs), backward))
+        return tuple(out)
+
+    @cached_property
+    def cycle_system(self) -> CycleSystem:
+        """What every gauge solve on this ladder shares
+        (``gauge.CycleSystem``), made on first use."""
+        from .gauge import CycleSystem  # gauge builds on this module
+
+        return CycleSystem.of(self)
 
     @property
     def cycle_names(self) -> tuple[str, ...]:
@@ -120,7 +151,7 @@ def build_ladder(n_cells: int, boundary: Boundary | str = Boundary.OPEN) -> Ladd
     if boundary is Boundary.CLOSED:
         bonds.append(Bond(1, 4 * N, BondType.X))
         bonds.append(Bond(2, 4 * N - 1, BondType.Y))
-    bonds.sort()
+    bonds.sort(key=lambda b: (b.i, b.j))
 
     cycles: dict[str, Loop] = {}
     n_plaq = 2 * N if boundary is Boundary.CLOSED else 2 * N - 1

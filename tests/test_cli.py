@@ -216,6 +216,53 @@ def test_sweep_columns_format_like_rows(tmp_path, monkeypatch, case):
     assert len(json.loads(out.read_text())["tie_sector_ids"]) == ties
 
 
+@pytest.mark.parametrize("cells", [2, 3])
+def test_chunked_sweep_csv_equals_a_plain_join(tmp_path, capsys, monkeypatch, cells):
+    """The CSV comes in pieces of SWEEP_CSV_ROWS rows with cycle values from two
+    half-width tables; the bytes equal one join of every row, in a file and
+    on stdout, whether the chunk divides the row count or not."""
+    ladder = build_ladder(cells, "closed")
+    rng = np.random.default_rng(67 + cells)
+    bonds = {f"{b.i}-{b.j}": float(rng.uniform(-1.5, 1.5)) for b in ladder.bonds}
+    cfg = write_config(tmp_path, {"ladder": {"cells": cells, "boundary": "closed"},
+                                  "couplings": {"bonds": bonds}})
+    calls = []
+    sweep = freefermion.sector_sweep
+
+    def recording_sweep(*args, **kwargs):
+        calls.append((args, sweep(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(freefermion, "sector_sweep", recording_sweep)
+    rows = 1 << len(ladder.cycle_names)
+    for chunk in (3, 8, rows, 4 * rows):
+        monkeypatch.setattr(cli, "SWEEP_CSV_ROWS", chunk)
+        out = tmp_path / f"sweep-{chunk}.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert cli.main(["sweep", "--config", cfg]) == 0
+        (lad, couplings), result = calls[0]
+        want = _row_sweep_text(result, lad, couplings, "csv")
+        assert out.read_text() == want
+        assert capsys.readouterr().out == want
+        calls.clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5])
+def test_sweep_csv_pieces_on_even_and_odd_cycle_counts(n):
+    names = [f"c{k}" for k in range(n)]
+    ids = np.random.default_rng(n).permutation(1 << n)
+    energies = -np.arange(1 << n, dtype=float) / 3
+    ties = ids % 3 == 0
+    want = ["sector_id," + ",".join(names) + ",ground_energy,is_argmin"]
+    for sid, energy, tie in zip(ids.tolist(), energies.tolist(), ties.tolist()):
+        values = ["-1" if (sid >> (n - 1 - k)) & 1 else "1" for k in range(n)]
+        want.append(",".join([str(sid), *values, cli._g17(energy), "1" if tie else "0"]))
+    want.append("# end")
+    pieces = list(cli._sweep_csv(names, ids, energies, ties, ["# end"]))
+    assert "".join(pieces) == "\n".join(want) + "\n"
+    assert len(pieces) == 2 + -(-(1 << n) // cli.SWEEP_CSV_ROWS)
+
+
 def test_gap_scan_summary(tmp_path):
     conf = {
         "ladder": {"boundary": "closed"},
@@ -599,6 +646,37 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     ok = write_config(tmp_path, {"ladder": {"cells": 2}}, name="ok.json")
     assert cli.main(["compare", "--config", ok]) == 4
     assert "convergence failure" in capsys.readouterr().err
+
+
+# size guards: exit 3, "guard exceeded", no artifact (the spectrum, sweep and
+# gap-scan guards are checked in test_exit_codes and test_ladder_guard_precedes_build_ladder)
+GUARDED = {
+    "rp-samples": ("rp-verify", {"majoranas": 16, "samples": cli.MAX_RP_SAMPLES + 1, "seed": 1}),
+    "rp-betas": ("rp-verify", {"majoranas": 16, "samples": 1, "seed": 1,
+                               "betas": [1.0] * (cli.MAX_RP_BETAS + 1)}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GUARDED))
+def test_size_guards_exit_3_and_write_nothing(tmp_path, capsys, monkeypatch, case):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("rp-verify drew before its guards")
+
+    monkeypatch.setattr(cli, "_rp_weights", no_draw)
+    monkeypatch.setattr(cli.rp, "random_even_element", no_draw)
+    command, doc = GUARDED[case]
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+    assert "guard exceeded" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rp_verify_runs_at_its_guards(tmp_path):
+    doc = {"majoranas": 2, "samples": cli.MAX_RP_SAMPLES, "seed": 1,
+           "betas": [0.5 + k / 64 for k in range(cli.MAX_RP_BETAS)]}
+    out = tmp_path / "rp.json"
+    assert cli.main(["rp-verify", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["samples"] == cli.MAX_RP_SAMPLES
 
 
 NON_FINITE = {

@@ -389,28 +389,35 @@ def test_stacked_pattern_solve_equals_per_sector_solves():
 
 
 def test_big_loop_gap_solves_a_ladder_once(monkeypatch):
+    """Per ladder: one spanning tree and one forward elimination, shared by
+    the free sector's ``gauge_for_sector`` and the patterns' flips, and at
+    most two SVD calls (the free sector, then the stacked patterns)."""
     from vortexladder import gauge as gauge_mod
 
-    calls = {"svd": 0, "gf2": 0}
-    svd, solve_gf2 = np.linalg.svd, gauge_mod._solve_gf2
+    calls = {"svd": 0, "spanning_cotree": 0, "_eliminate": 0, "gauge_for_sector": 0}
 
-    def counting_svd(*args, **kwargs):
-        calls["svd"] += 1
-        return svd(*args, **kwargs)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    def counting_gf2(*args, **kwargs):
-        calls["gf2"] += 1
-        return solve_gf2(*args, **kwargs)
-
-    ring = build_ladder(4, "closed")
-    cc = make_couplings("decaying-top-closed", ring, jx=1.0, jy=0.2, jz=2.0)
     patterns = ["BL", "p3", "BL+p2N"]
-    want = [gap for _, gap in _reference_reports(ring, cc, patterns)]
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(gauge_mod, "_solve_gf2", counting_gf2)
-    reports = big_loop_gap(ring, cc, patterns)
-    assert [r.gap for r in reports] == want
-    assert calls["svd"] <= 2 and calls["gf2"] <= 2, calls
+    rings = [build_ladder(n, "closed") for n in (4, 5)]
+    couplings = [make_couplings("decaying-top-closed", r, jx=1.0, jy=0.2, jz=2.0) for r in rings]
+    # the reference solves run on equal ladders built again, which get their own systems
+    want = [[gap for _, gap in _reference_reports(build_ladder(r.n_cells, "closed"), cc, patterns)]
+            for r, cc in zip(rings, couplings)]
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    for name in ("spanning_cotree", "_eliminate", "gauge_for_sector"):
+        monkeypatch.setattr(gauge_mod, name, counting(name, getattr(gauge_mod, name)))
+    for ring, cc, gaps in zip(rings, couplings, want):
+        for name in calls:
+            calls[name] = 0
+        reports = big_loop_gap(ring, cc, patterns)
+        assert [r.gap for r in reports] == gaps
+        assert calls["spanning_cotree"] == calls["_eliminate"] == 1, calls
+        assert calls["gauge_for_sector"] >= 1 and calls["svd"] <= 2, calls
 
 
 def _decaying_ring(n):

@@ -1,5 +1,8 @@
 """Gauge orbits, loop observables, sector ids, spanning-tree solves."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from vortexladder.gauge import (
     GaugeConfig,
     VortexSector,
     _solve_gf2,
+    cotree_flips,
     cycle_cotree_matrix,
     enumerate_sectors,
     gauge_for_sector,
@@ -22,7 +26,7 @@ from vortexladder.gauge import (
     spanning_cotree,
     vortex_value,
 )
-from vortexladder.lattice import build_ladder
+from vortexladder.lattice import Bond, BondType, Ladder, build_ladder
 
 
 def loop_value_oracle(u, loop):
@@ -242,3 +246,64 @@ def test_solve_gf2_matches_gauss_jordan_on_random_systems():
         assert got == _solve_or_singular(gauss_jordan_gf2, rows, rhs), (rows, rhs)
         kinds["singular" if got == "singular" else "solved"] += 1
     assert min(kinds.values()) >= 300, kinds
+
+
+def test_sector_of_matches_vortex_value_and_its_errors():
+    rng = np.random.default_rng(59)
+    for n, bnd in ((2, "open"), (3, "closed"), (6, "closed")):
+        lad = build_ladder(n, bnd)
+        for _ in range(10):
+            g = GaugeConfig({b.pair: int(rng.choice([-1, 1])) for b in lad.bonds})
+            want = {name: vortex_value(g, loop) for name, loop in lad.cycles.items()}
+            assert sector_of(lad, g).values == want
+    lad = build_ladder(2, "open")
+    for loop in ((1, 2, 9), (1, 2), (1, 2, 3, 2)):  # off the ladder, too short, not simple
+        broken = Ladder(lad.n_cells, lad.boundary, lad.bonds, {**lad.cycles, "p2": loop})
+        with pytest.raises(InvalidLoopError) as want:
+            vortex_value(GaugeConfig.all_plus(broken), loop)
+        with pytest.raises(InvalidLoopError) as got:
+            sector_of(broken, GaugeConfig.all_plus(broken))
+        assert str(got.value) == str(want.value)
+
+
+def _triangle_ladder():
+    """Open N=2 plus the bond (1, 3) and the loop (1, 2, 3) through it: the
+    same cell count, other bonds and another cycle system."""
+    lad = build_ladder(2, "open")
+    bonds = tuple(sorted(lad.bonds + (Bond(1, 3, BondType.X),)))
+    return Ladder(lad.n_cells, lad.boundary, bonds, {**lad.cycles, "t": (1, 2, 3)})
+
+
+def test_cycle_systems_are_per_ladder_object():
+    lad, other = build_ladder(2, "open"), _triangle_ladder()
+    assert cotree_flips(lad, [])[0] != cotree_flips(other, [])[0]
+    # alternate the two ladders: each solve reproduces its sector on its own ladder
+    sectors = [list(enumerate_sectors(lad)), list(enumerate_sectors(other))]
+    for k in range(len(sectors[1])):
+        for ladder, secs in zip((lad, other), sectors):
+            sec = secs[k % len(secs)]
+            g = gauge_for_sector(ladder, sec)
+            assert set(g.u) == set(ladder.bond_map)
+            assert sector_of(ladder, g).values == sec.values
+    # each ladder keeps its own system; an equal ladder built again makes another
+    again = build_ladder(2, "open")
+    assert again == lad and again.cycle_system == lad.cycle_system
+    assert lad.cycle_system is lad.cycle_system
+    assert again.cycle_system is not lad.cycle_system
+
+
+def test_a_ladder_is_freed_with_its_last_reference():
+    """The cycle system holds no reference back to its ladder, so a scan
+    over many ladders frees each one as it moves on, without waiting for
+    the garbage collector."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        lad = build_ladder(5, "closed")
+        gauge_for_sector(lad, {name: 1 for name in lad.cycle_names})
+        ref = weakref.ref(lad)
+        del lad
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

@@ -22,6 +22,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "vortexladder"
 # module.name -> why it stays without a caller in src/
 ALLOWED = {
     "gauge.enumerate_sectors": "the tests' oracle that visits every sector",
+    "gauge.vortex_value": "the exported observable of any loop; the tests' oracle for the basis-loop "
+                          "values that sector_of reads off the ladder's cycle system",
     "freefermion.sector_ground_energy": "perfbench's sweep check recomputes the argmin sector with it",
 }
 
