@@ -68,7 +68,7 @@ _MISSING = object()
 MAX_RP_SAMPLES = 10_000
 MAX_RP_BETAS = 64
 
-SWEEP_CSV_ROWS = 4096  # rows per piece of the sweep CSV
+SWEEP_PIECE_ROWS = 4096  # rows per piece of the sweep CSV or JSON
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +269,30 @@ def _json_text(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+class _LazyArray(list):
+    """A JSON array of ``count`` items that ``json``'s pure-Python encoder
+    takes from ``items`` one at a time as it writes them: it asks the
+    length first, then iterates, and holds no item it has written."""
+
+    def __init__(self, items: Iterable[Any], count: int):
+        self._items, self._count = items, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self._items)
+
+
+def _json_pieces(doc: Any) -> Iterator[str]:
+    """The bytes of ``_json_text(doc)`` in pieces, for a ``doc`` that holds
+    ``_LazyArray``s.  ``iterencode`` encodes in pure Python, which writes
+    each list item by item; ``json``'s C encoder copies a list subclass
+    into a plain list first."""
+    yield from json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    yield "\n"
+
+
 def _emit(text: str | Iterable[str], out_path: str | None) -> None:
     """Write ``text``, or its pieces in turn, to stdout or atomically to
     ``out_path``."""
@@ -364,15 +388,15 @@ def _cycle_value_columns(n: int) -> list[str]:
 
 def _sweep_csv(names: Sequence[str], ids: np.ndarray, energies: np.ndarray,
                ties: np.ndarray, footer: Sequence[str]) -> Iterator[str]:
-    """The sweep CSV in pieces of SWEEP_CSV_ROWS rows.  A row's cycle values are
+    """The sweep CSV in pieces of SWEEP_PIECE_ROWS rows.  A row's cycle values are
     the texts of the high and the low half of its id's bits, so the tables
     hold 2^ceil(n/2) + 2^floor(n/2) strings instead of 2^n."""
     low_bits = len(names) // 2
     high, low = _cycle_value_columns(len(names) - low_bits), _cycle_value_columns(low_bits)
     mask = (1 << low_bits) - 1
     yield ",".join(["sector_id", *names, "ground_energy", "is_argmin"]) + "\n"
-    for start in range(0, len(ids), SWEEP_CSV_ROWS):
-        part = slice(start, start + SWEEP_CSV_ROWS)
+    for start in range(0, len(ids), SWEEP_PIECE_ROWS):
+        part = slice(start, start + SWEEP_PIECE_ROWS)
         flags = np.where(ties[part], ",1", ",0").tolist()
         yield "".join(
             f"{sid}{high[sid >> low_bits]}{low[sid & mask]},{_g17(energy)}{flag}\n"
@@ -396,16 +420,19 @@ def cmd_sweep(conf: Conf, args) -> str | Iterator[str]:
 
     if args.format == "json":
         shifts = range(len(names) - 1, -1, -1)
-        return _json_text({
+        rows = (
+            {
+                "sector_id": sid,
+                "values": {k: -1 if (sid >> b) & 1 else 1 for k, b in zip(names, shifts)},
+                "ground_energy": energy,
+            }
+            for start in range(0, len(ids), SWEEP_PIECE_ROWS)
+            for sid, energy in zip(ids[start:start + SWEEP_PIECE_ROWS].tolist(),
+                                   energies[start:start + SWEEP_PIECE_ROWS].tolist())
+        )
+        return _json_pieces({
             "cycles": names,
-            "rows": [
-                {
-                    "sector_id": sid,
-                    "values": {k: -1 if (sid >> b) & 1 else 1 for k, b in zip(names, shifts)},
-                    "ground_energy": energy,
-                }
-                for sid, energy in zip(ids.tolist(), energies.tolist())
-            ],
+            "rows": _LazyArray(rows, len(ids)),
             "argmin_sector": argmin_id,
             "tie_sector_ids": tie_ids,
             "reflection_symmetric_cases": cases,
@@ -574,17 +601,9 @@ def cmd_perturb(conf: Conf, args) -> str:
         raise ConfigError(f"config.ladder: {e}") from e
     validation = perturbation.validate_against_ed(ladder, split)
     scale = split.scale()
-    rows_doc = [
-        {
-            "plaquette": r.plaquette,
-            "delta_e_formula": r.delta_e_formula,
-            "delta_e_exact": r.delta_e_exact,
-            "abs_err": r.abs_err,
-            "rel_err": r.rel_err,
-            "scale": scale,
-        }
-        for r in validation.rows
-    ]
+    columns = ("plaquette", "delta_e_formula", "delta_e_exact", "abs_err", "rel_err", "scale")
+    rows = [(r.plaquette, r.delta_e_formula, r.delta_e_exact, r.abs_err, r.rel_err, scale)
+            for r in validation.rows]
     if args.format == "json":
         return _json_text({
             "boundary": ladder.boundary.value,
@@ -592,23 +611,10 @@ def cmd_perturb(conf: Conf, args) -> str:
             "e0_formula": effective.e0,
             "e2_formula": effective.e2,
             "e_free_exact": validation.e_free_exact,
-            "rows": rows_doc,
+            "rows": [dict(zip(columns, row)) for row in rows],
         })
-    rows = [
-        [
-            r.plaquette,
-            "" if r.delta_e_formula is None else _g17(r.delta_e_formula),
-            _g17(r.delta_e_exact),
-            "" if r.abs_err is None else _g17(r.abs_err),
-            "" if r.rel_err is None else _g17(r.rel_err),
-            _g17(scale),
-        ]
-        for r in validation.rows
-    ]
-    return _csv_text(
-        ["plaquette", "delta_e_formula", "delta_e_exact", "abs_err", "rel_err", "scale"],
-        rows,
-    )
+    return _csv_text(columns, [[name, *("" if v is None else _g17(v) for v in values)]
+                               for name, *values in rows])
 
 
 def _rp_weights(conf: Conf, rng: np.random.Generator, n: int, mode: str, bulk: str):

@@ -93,7 +93,7 @@ def sector_of(ladder: Ladder, gauge: GaugeConfig) -> VortexSector:
         raise InvalidSpecError("gauge does not cover exactly the ladder bonds")
     u = gauge.u
     values = {name: (1 if backward % 2 else -1) * prod(map(u.__getitem__, pairs))
-              for name, (pairs, backward) in zip(ladder.cycle_names, ladder.cycle_bonds)}
+              for name, (pairs, backward) in ladder.cycle_bonds.items()}
     return VortexSector(values, sector_id(ladder, values))
 
 
@@ -160,7 +160,8 @@ def spanning_cotree(ladder: Ladder) -> tuple[list[tuple[int, int]], list[tuple[i
 def cycle_cotree_matrix(ladder: Ladder, cotree: Sequence[tuple[int, int]]) -> list[int]:
     """Row r = bitmask of co-tree bonds used by cycle-basis loop r."""
     col = {pair: c for c, pair in enumerate(cotree)}
-    return [sum(1 << col[pair] for pair in pairs if pair in col) for pairs, _ in ladder.cycle_bonds]
+    return [sum(1 << col[pair] for pair in pairs if pair in col)
+            for pairs, _ in ladder.cycle_bonds.values()]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -172,10 +173,11 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _eliminate(rows: list[int]) -> list[int]:
-    """Forward elimination of ``rows`` over GF(2); InconsistentSectorError if
-    they are dependent.  Pivot c has bit c and no lower bit, and bit n + r
-    of it is set for each row r summed into it, so a right-hand side can
-    follow it later (``_back_substitute``).
+    """Forward elimination of the n ``rows`` over GF(2); InconsistentSectorError
+    if they are dependent or have a column beyond the n-th (a ladder with more
+    co-tree bonds than basis cycles).  Pivot c has bit c and no lower bit,
+    and bit n + r of it is set for each row r summed into it, so a
+    right-hand side can follow it later (``_back_substitute``).
 
     Column c is cleared only from the rows not yet used as pivots, which
     leaves each pivot row with bit c and higher bits alone; a column view
@@ -184,6 +186,8 @@ def _eliminate(rows: list[int]) -> list[int]:
     fills in, so this is near-linear in n.
     """
     n = len(rows)
+    if max(rows, default=0) >> n:
+        raise InconsistentSectorError(f"{n} basis cycles for more than {n} co-tree bonds")
     aug = [row | 1 << (n + r) for r, row in enumerate(rows)]
     cols = [0] * n
     for r, row in enumerate(rows):
@@ -217,15 +221,6 @@ def _back_substitute(pivots: Sequence[int], b: int) -> int:
         row = pivots[c]
         x |= ((((row >> n) & b).bit_count() ^ (row & x).bit_count()) & 1) << c
     return x
-
-
-def _solve_gf2(rows: list[int], rhs: Sequence[int]) -> list[int]:
-    """Solve rows . x = b over GF(2) for every b in ``rhs`` (bit r = row r's
-    value): one forward elimination, then one back substitution per b.
-    Each x comes back as a bitmask; InconsistentSectorError if the rows are
-    dependent."""
-    pivots = _eliminate(rows)
-    return [_back_substitute(pivots, b) for b in rhs]
 
 
 @dataclass(frozen=True)

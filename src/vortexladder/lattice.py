@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import InvalidLoopError, InvalidSpecError, UnsupportedReflectionError
 
@@ -74,13 +74,14 @@ class Ladder:
         return {b.pair: b for b in self.bonds}
 
     @cached_property
-    def cycle_bonds(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
-        """Per basis cycle, in ``cycles`` order: the canonical pair of each
-        step of the loop, and how many steps a -> b have a > b (they run
-        against their bond's orientation).  InvalidLoopError for a loop that
-        is not simple or steps off the ladder."""
-        out = []
-        for loop in self.cycles.values():
+    def cycle_bonds(self) -> dict[str, tuple[tuple[tuple[int, int], ...], int]]:
+        """Per basis cycle name, in ``cycles`` order: the canonical pair of
+        each step of the loop, and how many steps a -> b have a > b (they run
+        against their bond's orientation).  The one walk of the loops that
+        every reader of the bond layout shares.  InvalidLoopError for a loop
+        that is not simple or steps off the ladder."""
+        out = {}
+        for name, loop in self.cycles.items():
             if len(loop) < 3 or len(set(loop)) != len(loop):
                 raise InvalidLoopError(f"{loop} is not a simple loop")
             pairs, backward = [], 0
@@ -90,8 +91,8 @@ class Ladder:
                     raise InvalidLoopError(f"({pair[0]},{pair[1]}) is not a bond")
                 pairs.append(pair)
                 backward += a > b
-            out.append((tuple(pairs), backward))
-        return tuple(out)
+            out[name] = (tuple(pairs), backward)
+        return out
 
     @cached_property
     def cycle_system(self) -> CycleSystem:
@@ -111,11 +112,6 @@ class Ladder:
             return self.bond_map[key]
         except KeyError:
             raise InvalidLoopError(f"({a},{b}) is not a bond of the ladder") from None
-
-    def loop_steps(self, loop: Loop) -> Iterator[tuple[int, int]]:
-        """Oriented traversal (a, b) pairs, including the closing step."""
-        for k, a in enumerate(loop):
-            yield a, loop[(k + 1) % len(loop)]
 
     def column(self, site: int) -> int:
         """1-based horizontal position; two sites (one per rail) per column."""

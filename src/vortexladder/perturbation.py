@@ -39,16 +39,6 @@ from .lattice import Boundary, BondType, Ladder
 RATIO_GUARD = 0.1  # ceiling for max(jy, jz)/jx
 
 
-def _z_pair(j: int) -> tuple[int, int]:
-    return (2 * j - 1, 2 * j)
-
-
-def _y_pair(ladder: Ladder, m: int) -> tuple[int, int]:
-    if ladder.boundary is Boundary.CLOSED and m == 2 * ladder.n_cells:
-        return (2, 4 * ladder.n_cells - 1)  # closing y bond
-    return (2 * m - 1, 2 * m + 2)
-
-
 @dataclass(frozen=True)
 class PerturbationSplit:
     """Uniform jx on x bonds; per-bond weak couplings on y and z bonds."""
@@ -111,19 +101,25 @@ def effective(ladder: Ladder, split: PerturbationSplit) -> EffectiveResult:
     N = ladder.n_cells
     jx, jy, jz = split.jx, split.jy, split.jz
 
+    # y[m - 1] couples the one y bond of plaquette p_m, z[j - 1] the j-th
+    # rung (the z bonds sort from the left)
+    y = [jy[next(pair for pair in ladder.cycle_bonds[name][0] if pair in jy)]
+         for name in _plaquette_names(ladder)]
+    z = [jz[b.pair] for b in ladder.bonds if b.kind is BondType.Z]
+
     e0 = -jx * 2 * N if closed else -jx * (2 * N - 1)
-    bracket = sum(jy[_y_pair(ladder, m)] ** 2 for m in range(1, 2 * N))
-    bracket += sum(jz[_z_pair(j)] ** 2 for j in range(1, 2 * N + 1))
+    bracket = sum(v ** 2 for v in y[:2 * N - 1])
+    bracket += sum(v ** 2 for v in z)
     if closed:
-        bracket += jy[_y_pair(ladder, 2 * N)] ** 2  # closing y bond
+        bracket += y[-1] ** 2  # closing y bond, of p_{2N}
     else:  # boundary squares appear a second time, exactly as printed
-        bracket += jy[_y_pair(ladder, 1)] ** 2 + jy[_y_pair(ladder, 2 * N - 1)] ** 2
-        bracket += jz[_z_pair(1)] ** 2 + jz[_z_pair(2 * N)] ** 2
+        bracket += y[0] ** 2 + y[-1] ** 2
+        bracket += z[0] ** 2 + z[-1] ** 2
     e2 = -bracket / (4 * jx)
 
     gaps = {}
     for k in range(1, 2 * N):  # on rings p_{2N} is absent, exactly as printed
-        prod = jz[_z_pair(k)] * jy[_y_pair(ladder, k)] * jz[_z_pair(k + 1)]
+        prod = z[k - 1] * y[k - 1] * z[k]
         if not closed and k in (1, 2 * N - 1):
             gaps[f"p{k}"] = prod / jx**2
         else:

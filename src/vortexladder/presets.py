@@ -25,21 +25,6 @@ class Preset(str, Enum):
     DECAYING_TOP_CLOSED = "decaying-top-closed"
 
 
-def _top_rail_index(ladder: Ladder, pair: tuple[int, int]) -> int | None:
-    """Position of a top-rail bond counted from the left, or None."""
-    i, j = pair
-    if ladder.rail(i) != 1 or ladder.rail(j) != 1:
-        return None
-    n = ladder.n_cells
-    if j == i + 1 and i % 4 == 2:           # (4m-2, 4m-1), cell m
-        return 2 * ((i + 2) // 4) - 1
-    if j == i + 3 and i % 4 == 3:           # (4m-1, 4m+2), junction m
-        return 2 * ((i + 1) // 4)
-    if (i, j) == (2, 4 * n - 1):            # closing Y bond
-        return 2 * n
-    return None
-
-
 def make_couplings(
     preset: Preset | str,
     ladder: Ladder,
@@ -58,14 +43,14 @@ def make_couplings(
     if preset is Preset.DECAYING_TOP_CLOSED and ladder.boundary is not Boundary.CLOSED:
         raise InvalidSpecError("decaying-top-closed needs a closed ladder")
 
-    values: dict[tuple[int, int], float] = {}
-    for bond in ladder.bonds:
-        strength = base[bond.kind]
-        if preset is not Preset.HOMOGENEOUS:
-            k = _top_rail_index(ladder, bond.pair)
-            if k is not None:
-                strength *= 1.0 + 1.0 / k
-        values[bond.pair] = strength
+    values = {bond.pair: base[bond.kind] for bond in ladder.bonds}
+    if preset is not Preset.HOMOGENEOUS:
+        # the k-th top-rail bond is the one bond of plaquette p_k with both
+        # ends on the top rail; the big loop runs along the bottom rail
+        for k, (pairs, _) in enumerate(ladder.cycle_bonds.values(), 1):
+            for pair in pairs:
+                if ladder.rail(pair[0]) == ladder.rail(pair[1]) == 1:
+                    values[pair] *= 1.0 + 1.0 / k
     config = CouplingConfig(values)
     config.validate_for(ladder)
     return config

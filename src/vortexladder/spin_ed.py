@@ -36,7 +36,7 @@ from .errors import (
     MalformedMatrixError,
 )
 from .freefermion import CouplingConfig
-from .lattice import BondType, Ladder, Loop
+from .lattice import BondType, Ladder
 
 MAX_DENSE_SPINS = 12   # dense path guard: 2^12 = 4096
 MAX_ITER_SPINS = 20    # compiled (sparse) path guard
@@ -260,19 +260,19 @@ def build_spin_hamiltonian(ladder: Ladder, couplings: CouplingConfig) -> SpinOpe
     return op
 
 
-def vortex_operator(ladder: Ladder, loop: Loop | str) -> SpinOperator:
-    """Conserved loop operator: i^{|c|+2} times the ordered product of
-    sigma_a^t sigma_b^t over the loop's bonds (t = bond type).  Always a
-    single Hermitian Pauli string with coefficient exactly +-1."""
-    if isinstance(loop, str):
-        try:
-            loop = ladder.cycles[loop]
-        except KeyError:
-            raise InvalidLoopError(f"no cycle named {loop!r}") from None
-    ps = PauliString(0, 0, len(loop) + 2)
-    for a, b in ladder.loop_steps(loop):
-        kind = ladder.bond_between(a, b).kind
-        ps = ps * sigma(kind, a) * sigma(kind, b)
+def vortex_operator(ladder: Ladder, name: str) -> SpinOperator:
+    """Conserved operator of the basis cycle ``name``: i^{|c|+2} times the
+    ordered product of sigma_i^t sigma_j^t over the loop's bonds (t = bond
+    type), in ``ladder.cycle_bonds`` order; each term is symmetric in i and
+    j.  Always a single Hermitian Pauli string with coefficient exactly +-1."""
+    try:
+        pairs, _ = ladder.cycle_bonds[name]
+    except KeyError:
+        raise InvalidLoopError(f"no cycle named {name!r}") from None
+    ps = PauliString(0, 0, len(pairs) + 2)
+    for i, j in pairs:
+        kind = ladder.bond_map[i, j].kind
+        ps = ps * sigma(kind, i) * sigma(kind, j)
     if ps.phase_pow % 2:
         raise InvalidLoopError("loop operator did not close to a real string")
     return SpinOperator(ladder.n_sites).add_string(ps)

@@ -218,7 +218,7 @@ def test_sweep_columns_format_like_rows(tmp_path, monkeypatch, case):
 
 @pytest.mark.parametrize("cells", [2, 3])
 def test_chunked_sweep_csv_equals_a_plain_join(tmp_path, capsys, monkeypatch, cells):
-    """The CSV comes in pieces of SWEEP_CSV_ROWS rows with cycle values from two
+    """The CSV comes in pieces of SWEEP_PIECE_ROWS rows with cycle values from two
     half-width tables; the bytes equal one join of every row, in a file and
     on stdout, whether the chunk divides the row count or not."""
     ladder = build_ladder(cells, "closed")
@@ -236,7 +236,7 @@ def test_chunked_sweep_csv_equals_a_plain_join(tmp_path, capsys, monkeypatch, ce
     monkeypatch.setattr(freefermion, "sector_sweep", recording_sweep)
     rows = 1 << len(ladder.cycle_names)
     for chunk in (3, 8, rows, 4 * rows):
-        monkeypatch.setattr(cli, "SWEEP_CSV_ROWS", chunk)
+        monkeypatch.setattr(cli, "SWEEP_PIECE_ROWS", chunk)
         out = tmp_path / f"sweep-{chunk}.csv"
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
         assert cli.main(["sweep", "--config", cfg]) == 0
@@ -245,6 +245,57 @@ def test_chunked_sweep_csv_equals_a_plain_join(tmp_path, capsys, monkeypatch, ce
         assert out.read_text() == want
         assert capsys.readouterr().out == want
         calls.clear()
+
+
+@pytest.mark.parametrize("cells", [2, 3])
+def test_chunked_sweep_json_equals_one_dump(tmp_path, capsys, monkeypatch, cells):
+    """The JSON rows are made SWEEP_PIECE_ROWS at a time as they are written;
+    the bytes equal one ``json.dumps`` of every row, in a file and on stdout."""
+    ladder = build_ladder(cells, "closed")
+    rng = np.random.default_rng(71 + cells)
+    bonds = {f"{b.i}-{b.j}": float(rng.uniform(-1.5, 1.5)) for b in ladder.bonds}
+    cfg = write_config(tmp_path, {"ladder": {"cells": cells, "boundary": "closed"},
+                                  "couplings": {"bonds": bonds}})
+    calls = []
+    sweep = freefermion.sector_sweep
+
+    def recording_sweep(*args, **kwargs):
+        calls.append((args, sweep(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(freefermion, "sector_sweep", recording_sweep)
+    rows = 1 << len(ladder.cycle_names)
+    for chunk in (3, rows, 4 * rows):
+        monkeypatch.setattr(cli, "SWEEP_PIECE_ROWS", chunk)
+        out = tmp_path / f"sweep-{chunk}.json"
+        assert cli.main(["sweep", "--config", cfg, "--format", "json", "--out", str(out)]) == 0
+        assert cli.main(["sweep", "--config", cfg, "--format", "json"]) == 0
+        (lad, couplings), result = calls[0]
+        want = _row_sweep_text(result, lad, couplings, "json")
+        assert out.read_text() == want
+        assert capsys.readouterr().out == want
+        calls.clear()
+
+
+def test_lazy_json_arrays_are_made_as_they_are_written():
+    """``_json_pieces`` writes the bytes of ``_json_text``, and takes each item
+    of a ``_LazyArray`` only after every item before it is written."""
+    made = []
+
+    def items(n):
+        for k in range(n):
+            made.append(k)
+            yield {"k": k, "v": [k / 3, None, "s"]}
+
+    for n in (0, 1, 5):
+        made.clear()
+        text = ""
+        for piece in cli._json_pieces({"b": cli._LazyArray(items(n), n), "a": [1.5, {}]}):
+            assert len(made) <= text.count('"k"') + 1, (n, text)
+            text += piece
+        assert made == list(range(n))
+        want = {"b": [{"k": k, "v": [k / 3, None, "s"]} for k in range(n)], "a": [1.5, {}]}
+        assert text == cli._json_text(want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 5])
@@ -260,7 +311,7 @@ def test_sweep_csv_pieces_on_even_and_odd_cycle_counts(n):
     want.append("# end")
     pieces = list(cli._sweep_csv(names, ids, energies, ties, ["# end"]))
     assert "".join(pieces) == "\n".join(want) + "\n"
-    assert len(pieces) == 2 + -(-(1 << n) // cli.SWEEP_CSV_ROWS)
+    assert len(pieces) == 2 + -(-(1 << n) // cli.SWEEP_PIECE_ROWS)
 
 
 def test_gap_scan_summary(tmp_path):

@@ -15,7 +15,8 @@ from vortexladder.errors import (
 from vortexladder.gauge import (
     GaugeConfig,
     VortexSector,
-    _solve_gf2,
+    _back_substitute,
+    _eliminate,
     cotree_flips,
     cycle_cotree_matrix,
     enumerate_sectors,
@@ -68,7 +69,7 @@ def test_single_bond_flip_toggles_exactly_its_loops():
         hit = {
             name
             for name, loop in lad.cycles.items()
-            if flip in {(a, b) if a < b else (b, a) for a, b in lad.loop_steps(loop)}
+            if flip in {(min(a, b), max(a, b)) for a, b in zip(loop, loop[1:] + loop[:1])}
         }
         assert {n for n, v in sec.values.items() if v == -1} == hit
 
@@ -188,7 +189,8 @@ def test_gauge_for_sector_accepts_plain_mapping():
 
 def gauss_jordan_gf2(rows, rhs):
     """Oracle: the dense Gauss-Jordan elimination over GF(2) that
-    ``_solve_gf2`` replaced; row r carries b_k's bit r at bit n+k."""
+    ``_eliminate`` and ``_back_substitute`` replaced; row r carries b_k's
+    bit r at bit n+k."""
     n = len(rows)
     aug = [
         row | sum(((b >> r) & 1) << (n + k) for k, b in enumerate(rhs))
@@ -206,6 +208,12 @@ def gauss_jordan_gf2(rows, rhs):
     return [sum(((aug[c] >> (n + k)) & 1) << c for c in range(n)) for k in range(len(rhs))]
 
 
+def eliminate_and_substitute(rows, rhs):
+    """One forward elimination, then one back substitution per b in ``rhs``."""
+    pivots = _eliminate(rows)
+    return [_back_substitute(pivots, b) for b in rhs]
+
+
 def _solve_or_singular(solve, rows, rhs):
     try:
         return solve(list(rows), rhs)
@@ -221,7 +229,7 @@ def test_solve_gf2_matches_gauss_jordan_on_every_ladder():
             _, cotree = spanning_cotree(lad)
             rows = cycle_cotree_matrix(lad, cotree)[::-1]
             rhs = [int("".join(map(str, rng.integers(0, 2, len(rows)))), 2) for _ in range(4)]
-            assert _solve_gf2(rows, rhs) == gauss_jordan_gf2(rows, rhs), (n, bnd)
+            assert eliminate_and_substitute(rows, rhs) == gauss_jordan_gf2(rows, rhs), (n, bnd)
 
 
 def test_solve_gf2_matches_gauss_jordan_on_random_systems():
@@ -242,7 +250,7 @@ def test_solve_gf2_matches_gauss_jordan_on_random_systems():
                 bits[i] = bits[j] ^ (bits[int(rng.integers(n))] if rng.random() < 0.5 else False)
         rows = [sum(1 << int(c) for c in np.flatnonzero(row)) for row in bits]
         rhs = [int(rng.integers(0, 1 << n)) for _ in range(int(rng.integers(0, 5)))]
-        got = _solve_or_singular(_solve_gf2, rows, rhs)
+        got = _solve_or_singular(eliminate_and_substitute, rows, rhs)
         assert got == _solve_or_singular(gauss_jordan_gf2, rows, rhs), (rows, rhs)
         kinds["singular" if got == "singular" else "solved"] += 1
     assert min(kinds.values()) >= 300, kinds
@@ -290,6 +298,17 @@ def test_cycle_systems_are_per_ladder_object():
     assert again == lad and again.cycle_system == lad.cycle_system
     assert lad.cycle_system is lad.cycle_system
     assert again.cycle_system is not lad.cycle_system
+
+
+def test_more_cotree_bonds_than_cycles_is_an_inconsistent_sector():
+    """Open N=2 plus the bond (1, 3) but no loop through it: four co-tree
+    bonds for three basis cycles, so no square cycle/co-tree system."""
+    lad = build_ladder(2, "open")
+    bonds = tuple(sorted(lad.bonds + (Bond(1, 3, BondType.X),)))
+    bad = Ladder(lad.n_cells, lad.boundary, bonds, lad.cycles)
+    assert len(spanning_cotree(bad)[1]) == len(bad.cycles) + 1
+    with pytest.raises(InconsistentSectorError, match="co-tree bonds"):
+        gauge_for_sector(bad, {"p1": 1, "p2": -1, "p3": 1})
 
 
 def test_a_ladder_is_freed_with_its_last_reference():

@@ -15,6 +15,7 @@ import ast
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vortexladder"
@@ -32,33 +33,38 @@ def _trees():
     return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
 
 
-def _references(node, skip, counts):
-    """Count Name and Attribute uses under ``node``, not entering ``skip``."""
-    if node is skip:
-        return
+def _references(node, counts):
+    """Count Name and Attribute uses under ``node``."""
     if isinstance(node, ast.Name):
-        counts[node.id] = counts.get(node.id, 0) + 1
+        counts[node.id] += 1
     elif isinstance(node, ast.Attribute):
-        counts[node.attr] = counts.get(node.attr, 0) + 1
+        counts[node.attr] += 1
     for child in ast.iter_child_nodes(node):
-        _references(child, skip, counts)
+        _references(child, counts)
+    return counts
+
+
+def _unused(trees, definitions, count):
+    """The label of each (label, name, node) of ``definitions`` whose name
+    ``count`` finds in ``trees`` only inside its own node: one count over
+    every tree, less the count inside each definition."""
+    total = Counter()
+    for tree in trees.values():
+        count(tree, total)
+    return [label for label, name, node in definitions
+            if not total[name] - count(node, Counter())[name]]
 
 
 def unused_public_names():
     trees = _trees()
-    unused = []
-    for module, tree in trees.items():
-        for definition in tree.body:
-            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if definition.name.startswith("_"):
-                continue
-            counts = {}
-            for other in trees.values():
-                _references(other, definition, counts)
-            if not counts.get(definition.name):
-                unused.append(f"{module}.{definition.name}")
-    return unused
+    definitions = [
+        (f"{module}.{definition.name}", definition.name, definition)
+        for module, tree in trees.items()
+        for definition in tree.body
+        if isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+        and not definition.name.startswith("_")
+    ]
+    return _unused(trees, definitions, _references)
 
 
 def test_every_public_name_has_a_caller_in_src():
@@ -86,32 +92,27 @@ def _members(cls):
             yield node.target.id, node
 
 
-def _reads(node, skip, counts):
-    """Count ``.name`` loads and ``name=`` keywords under ``node``, not entering ``skip``."""
-    if node is skip:
-        return
+def _reads(node, counts):
+    """Count ``.name`` loads and ``name=`` keywords under ``node``."""
     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-        counts[node.attr] = counts.get(node.attr, 0) + 1
+        counts[node.attr] += 1
     elif isinstance(node, ast.keyword) and node.arg:
-        counts[node.arg] = counts.get(node.arg, 0) + 1
+        counts[node.arg] += 1
     for child in ast.iter_child_nodes(node):
-        _reads(child, skip, counts)
+        _reads(child, counts)
+    return counts
 
 
 def unread_members():
     trees = _trees()
-    unread = []
-    for module, tree in trees.items():
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            for name, definition in _members(cls):
-                counts = {}
-                for other in trees.values():
-                    _reads(other, definition, counts)
-                if not counts.get(name):
-                    unread.append(f"{module}.{cls.name}.{name}")
-    return unread
+    definitions = [
+        (f"{module}.{cls.name}.{name}", name, definition)
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for name, definition in _members(cls)
+    ]
+    return _unused(trees, definitions, _reads)
 
 
 def test_every_public_member_has_a_reader_in_src():

@@ -17,8 +17,6 @@ from vortexladder.lattice import BondType, build_ladder
 from vortexladder.perturbation import (
     RATIO_GUARD,
     PerturbationSplit,
-    _y_pair,
-    _z_pair,
     effective,
     validate_against_ed,
 )
@@ -49,17 +47,29 @@ def test_closed_formula_frozen_uniform():
         assert gap == pytest.approx(0.1**3 / 16, rel=1e-12)
 
 
+def _rung(j):
+    """The j-th z rung from the left, as the formulas number the sites."""
+    return (2 * j - 1, 2 * j)
+
+
+def _y_bond(lad, m):
+    """The y bond of plaquette p_m, as the formulas number the sites."""
+    if m == 2 * lad.n_cells:
+        return (2, 4 * lad.n_cells - 1)  # closing y bond of a ring
+    return (2 * m - 1, 2 * m + 2)
+
+
 def _printed_open(lad, split):
     """The open-ladder formulas as printed, one expression per term."""
     N, jx, jy, jz = lad.n_cells, split.jx, split.jy, split.jz
     e0 = -jx * (2 * N - 1)
-    bracket = sum(jy[_y_pair(lad, m)] ** 2 for m in range(1, 2 * N))
-    bracket += sum(jz[_z_pair(j)] ** 2 for j in range(1, 2 * N + 1))
-    bracket += jy[_y_pair(lad, 1)] ** 2 + jy[_y_pair(lad, 2 * N - 1)] ** 2
-    bracket += jz[_z_pair(1)] ** 2 + jz[_z_pair(2 * N)] ** 2
+    bracket = sum(jy[_y_bond(lad, m)] ** 2 for m in range(1, 2 * N))
+    bracket += sum(jz[_rung(j)] ** 2 for j in range(1, 2 * N + 1))
+    bracket += jy[_y_bond(lad, 1)] ** 2 + jy[_y_bond(lad, 2 * N - 1)] ** 2
+    bracket += jz[_rung(1)] ** 2 + jz[_rung(2 * N)] ** 2
     gaps = {}
     for k in range(1, 2 * N):
-        prod = jz[_z_pair(k)] * jy[_y_pair(lad, k)] * jz[_z_pair(k + 1)]
+        prod = jz[_rung(k)] * jy[_y_bond(lad, k)] * jz[_rung(k + 1)]
         gaps[f"p{k}"] = prod / jx**2 if k in (1, 2 * N - 1) else prod / (4 * jx**2)
     return e0, -bracket / (4 * jx), gaps
 
@@ -68,12 +78,12 @@ def _printed_closed(ring, split):
     """The closed-ladder formulas as printed: no p_{2N} gap."""
     N, jx, jy, jz = ring.n_cells, split.jx, split.jy, split.jz
     e0 = -jx * 2 * N
-    bracket = sum(jy[_y_pair(ring, m)] ** 2 for m in range(1, 2 * N))
-    bracket += sum(jz[_z_pair(j)] ** 2 for j in range(1, 2 * N + 1))
-    bracket += jy[_y_pair(ring, 2 * N)] ** 2
+    bracket = sum(jy[_y_bond(ring, m)] ** 2 for m in range(1, 2 * N))
+    bracket += sum(jz[_rung(j)] ** 2 for j in range(1, 2 * N + 1))
+    bracket += jy[_y_bond(ring, 2 * N)] ** 2
     gaps = {}
     for k in range(1, 2 * N):
-        prod = jz[_z_pair(k)] * jy[_y_pair(ring, k)] * jz[_z_pair(k + 1)]
+        prod = jz[_rung(k)] * jy[_y_bond(ring, k)] * jz[_rung(k + 1)]
         gaps[f"p{k}"] = prod / (4 * jx**2)
     return e0, -bracket / (4 * jx), gaps
 

@@ -40,21 +40,20 @@ def test_decaying_top_closed_includes_closing_bond():
 
 
 def test_top_rail_factors_follow_position():
-    n = 5
-    lad = build_ladder(n, Boundary.OPEN)
-    cfg = make_couplings(Preset.DECAYING_TOP_OPEN, lad, jx=1.0, jy=1.0, jz=1.0)
-    modulated = {pair: v for pair, v in cfg.values.items() if v != 1.0}
-    expected = {}
-    for m in range(1, n + 1):
-        expected[(4 * m - 2, 4 * m - 1)] = 1 + 1 / (2 * m - 1)
-    for m in range(1, n):
-        expected[(4 * m - 1, 4 * m + 2)] = 1 + 1 / (2 * m)
-    assert modulated == expected
-    assert len(modulated) == 2 * n - 1
-
-    closed = build_ladder(n, Boundary.CLOSED)
-    ccfg = make_couplings(Preset.DECAYING_TOP_CLOSED, closed, jx=1.0, jy=1.0, jz=1.0)
-    assert sum(1 for v in ccfg.values.values() if v != 1.0) == 2 * n
+    for n in range(2, 13):
+        for boundary, preset in ((Boundary.OPEN, Preset.DECAYING_TOP_OPEN),
+                                 (Boundary.CLOSED, Preset.DECAYING_TOP_CLOSED)):
+            lad = build_ladder(n, boundary)
+            cfg = make_couplings(preset, lad, jx=1.0, jy=1.0, jz=1.0)
+            modulated = {pair: v for pair, v in cfg.values.items() if v != 1.0}
+            expected = {}
+            for m in range(1, n + 1):  # top edge of cell m
+                expected[(4 * m - 2, 4 * m - 1)] = 1 + 1 / (2 * m - 1)
+            for m in range(1, n):  # top edge of the square after cell m
+                expected[(4 * m - 1, 4 * m + 2)] = 1 + 1 / (2 * m)
+            if boundary is Boundary.CLOSED:  # closing y bond of the ring
+                expected[(2, 4 * n - 1)] = 1 + 1 / (2 * n)
+            assert modulated == expected, (n, boundary)
 
 
 def test_boundary_mismatch_rejected():

@@ -11,6 +11,7 @@ import scipy.sparse.linalg
 from vortexladder import spin_ed
 from vortexladder.errors import (
     GuardExceededError,
+    InvalidLoopError,
     InvalidSpecError,
     LabelingError,
     MalformedMatrixError,
@@ -136,10 +137,23 @@ def test_vortex_operator_frozen_forms():
     assert bl.terms == {(0, 0b10011001): 1.0}
 
 
-def test_vortex_operator_accepts_loop_or_name():
-    lad = build_ladder(3, "open")
-    assert vortex_operator(lad, "p2").equals(vortex_operator(lad, lad.cycles["p2"]))
-    assert set(cycle_operators(lad)) == set(lad.cycle_names)
+def test_vortex_operator_is_the_product_along_each_loop():
+    """Each loop operator equals i^{|c|+2} times the sigma_a^t sigma_b^t terms
+    multiplied step by step along ``ladder.cycles[name]``, term for term."""
+    for n in range(2, 13):
+        for bnd in ("open", "closed"):
+            lad = build_ladder(n, bnd)
+            ops = cycle_operators(lad)
+            assert list(ops) == list(lad.cycles)
+            for name, loop in lad.cycles.items():
+                ps = PauliString(0, 0, len(loop) + 2)
+                for a, b in zip(loop, loop[1:] + loop[:1]):
+                    kind = lad.bond_map[min(a, b), max(a, b)].kind
+                    ps = ps * sigma(kind, a) * sigma(kind, b)
+                want = SpinOperator(lad.n_sites).add_string(ps)
+                assert ops[name].terms == want.terms, (n, bnd, name)
+    with pytest.raises(InvalidLoopError, match="no cycle named"):
+        vortex_operator(build_ladder(2, "open"), "big")
 
 
 def test_vortex_operators_are_exact_symmetries():
