@@ -8,9 +8,11 @@ significant digits so doubles round-trip exactly.  A config key that the
 command never asked about is a config error, raised after the run and
 before anything is written.  Each command runs its linear algebra on one
 BLAS thread (``_one_blas_thread``), so the output does not depend on the
-core count or ``OPENBLAS_NUM_THREADS``; ``--threads`` is the only
-parallelism.  A process that imports this module before numpy
-starts numpy's OpenBLAS on one thread as well.
+core count or ``OPENBLAS_NUM_THREADS``.  The only parallelism is
+``--threads``, the number of worker processes of ``sweep`` and ``gap-scan``
+(``freefermion.worker_map``), and no output depends on it.  A process that
+imports this module before numpy starts numpy's OpenBLAS on one thread as
+well.
 """
 
 from __future__ import annotations
@@ -486,9 +488,7 @@ def cmd_gap_scan(conf: Conf, args) -> str:
     if repeated:
         raise ConfigError(f"config.patterns: {', '.join(map(repr, repeated))} listed more than once")
 
-    table: list[tuple[int, str, float]] = []
-    by_pattern: dict[str, list[float]] = {p: [] for p in patterns}
-    for n in cells:
+    def gaps_at(n: int) -> list[float]:
         ladder = build_ladder(n, boundary)
         couplings = _config_couplings(conf, ladder)
         parsed = []
@@ -501,9 +501,16 @@ def cmd_gap_scan(conf: Conf, args) -> str:
             reports = freefermion.big_loop_gap(ladder, couplings, parsed)
         except ValueError as e:
             raise ConfigError(f"config.couplings: at N={n}: {e}") from e
-        for pattern, report in zip(patterns, reports):
-            table.append((n, pattern, report.gap))
-            by_pattern[pattern].append(report.gap)
+        return [report.gap for report in reports]
+
+    # The calling process works N = first itself, so every config key the
+    # scan reads is asked about here, where the unknown-key check looks.
+    table: list[tuple[int, str, float]] = []
+    by_pattern: dict[str, list[float]] = {p: [] for p in patterns}
+    for n, gaps in zip(cells, freefermion.worker_map(gaps_at, cells, _resolve_threads(args, conf))):
+        for pattern, gap in zip(patterns, gaps):
+            table.append((n, pattern, gap))
+            by_pattern[pattern].append(gap)
 
     summary = _bl_summary(cells, by_pattern["BL"]) if "BL" in by_pattern else None
 

@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .errors import (
     MalformedMatrixError,
 )
 from .gauge import GaugeConfig, VortexSector
-from .lattice import Bond, BondType, Boundary, Ladder
+from .lattice import BondType, Boundary, Ladder
 
 MAX_EXPANSION_MODES = 24   # guard for the 2^m many-body expansion
 MAX_SWEEP_BASIS = 30       # guard for full sector sweeps
@@ -61,6 +62,10 @@ SWEEP_CHUNK = 4096         # sectors per stacked SVD in a sweep
 MAX_SCAN_CELLS = 100       # guard for gap scans over N
 PAIR_TOL = 1e-8            # relative tolerance for singular-value pairing
 GAP_LOG_STEP = 0.25        # trapezoid step in log(x) for twisted_wrap_gap
+# guard for the 2^(#cycles + 2N) levels of a sector union: at 23 (open N=6) the
+# CLI's union peaks at 1.8 GB and takes 16 s (CSV, 2-core x86 VM); the next size
+# up, 25 (closed N=6), would take about four times that
+MAX_UNION_BITS = 23
 
 
 @dataclass(frozen=True)
@@ -284,18 +289,107 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
+
+
+def _share(fn: Callable[[_Item], _Result], items: Sequence[_Item], first: int, step: int):
+    """``fn`` of items first, first + step, ... up to the first that raises:
+    (the results, None), or (the results before it, (its index, its error))."""
+    results = []
+    for i in range(first, len(items), step):
+        try:
+            results.append(fn(items[i]))
+        except Exception as e:
+            return results, (i, e)
+    return results, None
+
+
+def worker_map(
+    fn: Callable[[_Item], _Result], items: Sequence[_Item], workers: int | None = None
+) -> list[_Result]:
+    """``[fn(x) for x in items]`` on w = min(workers, len(items),
+    ``usable_cpus()``) processes.
+
+    The calling process works items 0, w, 2w, ...; each of w - 1 children
+    made by ``os.fork`` works its own share (items k, k + w, ...) and sends
+    its results back pickled through a pipe.  A child starts from a copy of
+    the caller, so ``fn`` and the items are never pickled, and it starts in
+    about a millisecond where a fresh interpreter would spend a CLI
+    process's whole import time.  Only the calling thread is copied: the
+    CLI runs no other (its BLAS runs on one thread).  Where ``os.fork`` does
+    not exist, or w is 1, this is the plain loop.  An error raised by ``fn``
+    ends that share: once every share is in, the call raises the error of
+    the earliest failing item, as the loop would.  A child that ends
+    without sending its results raises ChildProcessError.  Every child is
+    reaped before the call returns or raises."""
+    w = min(workers or 1, len(items), usable_cpus())
+    if w < 2 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    pids: list[int] = []
+    reads: list[int] = []  # read end of each child's pipe
+    running: set[int] = set()
+    try:
+        for k in range(1, w):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:  # the child: its share down the pipe, then out
+                    code = 1
+                    try:
+                        os.close(read)
+                        with open(write, "wb", closefd=False) as pipe:
+                            pickle.dump(_share(fn, items, k, w), pipe, pickle.HIGHEST_PROTOCOL)
+                        code = 0
+                    finally:
+                        os._exit(code)
+            finally:
+                os.close(write)
+            pids.append(pid)
+            running.add(pid)
+        results, error = _share(fn, items, 0, w)
+        shares = [results]
+        for pid, read in zip(pids, reads):
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            running.discard(pid)
+            try:
+                results, failed = pickle.loads(data)
+            except Exception:
+                raise ChildProcessError(
+                    f"worker process {pid} ended with status "
+                    f"{os.waitstatus_to_exitcode(status)} before sending its results") from None
+            shares.append(results)
+            if failed is not None and (error is None or failed[0] < error[0]):
+                error = failed
+        if error is not None:
+            raise error[1]
+    finally:
+        for read in reads:
+            os.close(read)
+        for pid in running:  # the call is failing: stop the children left
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    out: list = [None] * len(items)
+    for k, results in enumerate(shares):
+        out[k::w] = results
+    return out
+
+
 def _map_sectors(
     ladder: Ladder,
     couplings: CouplingConfig,
     reduce: Callable[[np.ndarray], object],
-    threads: int | None = None,
+    workers: int | None = None,
 ) -> list:
     """``reduce`` of the (len, 2N) mode energies of each chunk of
     SWEEP_CHUNK sector ids, in ascending id order.  A sector's block M is
     the all-(+1) one with the entry of each co-tree bond that its
-    ``gauge_for_sector`` gauge flips negated.  Chunks run on at most
-    min(threads, #chunks, ``usable_cpus()``) threads; results do not
-    depend on it."""
+    ``gauge_for_sector`` gauge flips negated.  Chunks run through
+    ``worker_map`` on up to ``workers`` processes; results do not depend
+    on their number."""
     couplings.validate_for(ladder)
     n = len(ladder.cycle_names)
     if n > MAX_SWEEP_BASIS:
@@ -312,18 +406,14 @@ def _map_sectors(
         flips = ((xs[:, None] >> bonds) & 1).astype(bool)
         return reduce(_singular_values(_flipped_blocks(m0, cotree, flips)))
 
-    starts = range(0, 1 << n, SWEEP_CHUNK)
-    workers = min(threads or 1, len(starts), usable_cpus())
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_chunk, starts))
-    return [run_chunk(lo) for lo in starts]
+    return worker_map(run_chunk, range(0, 1 << n, SWEEP_CHUNK), workers)
 
 
 def sector_sweep(
     ladder: Ladder, couplings: CouplingConfig, threads: int | None = None
 ) -> SweepResult:
-    """Ground energy of every vortex sector, sorted by (energy, sector id)."""
+    """Ground energy of every vortex sector, sorted by (energy, sector id),
+    its chunks solved on up to ``threads`` worker processes."""
     energies = np.concatenate(
         _map_sectors(ladder, couplings, lambda eps: -_mode_sum(eps), threads))
     order = np.argsort(energies, kind="stable")  # ties stay in ascending id order
@@ -331,11 +421,11 @@ def sector_sweep(
 
 
 def sector_union_spectrum(ladder: Ladder, couplings: CouplingConfig) -> np.ndarray:
-    """Sorted concatenation of every sector's many-body levels."""
-    modes = ladder.n_sites // 2
-    if modes > MAX_EXPANSION_MODES:
-        raise GuardExceededError(
-            f"2^{modes} level expansion exceeds guard ({MAX_EXPANSION_MODES})")
+    """Sorted concatenation of every sector's many-body levels: 2^(#cycles
+    + 2N) of them, refused above 2^MAX_UNION_BITS before any solve."""
+    bits = len(ladder.cycle_names) + ladder.n_sites // 2
+    if bits > MAX_UNION_BITS:
+        raise GuardExceededError(f"2^{bits} union levels exceeds the guard ({MAX_UNION_BITS})")
     parts = _map_sectors(
         ladder, couplings, lambda eps: [many_body_spectrum(ModeSpectrum(e)) for e in eps])
     out = np.concatenate([levels for part in parts for levels in part])

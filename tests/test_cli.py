@@ -341,6 +341,48 @@ def test_gap_scan_summary(tmp_path):
     assert any(l.startswith("# bl_log_r2,") for l in lines)
 
 
+SCAN = {
+    "ladder": {"boundary": "closed"},
+    "cells_range": [4, 12],
+    "patterns": ["BL", "BL+p2N", "p2N-1+p2N"],
+    "couplings": {"preset": "decaying-top-closed", "jx": 1.0, "jy": 0.2, "jz": 2.0},
+}
+
+
+def test_gap_scan_bytes_do_not_depend_on_workers(tmp_path, monkeypatch):
+    """1, 2 and 3 worker processes write the same CSV and JSON bytes."""
+    monkeypatch.setattr(freefermion, "usable_cpus", lambda: 3)
+    cfg = write_config(tmp_path, SCAN)
+    for fmt in ("csv", "json"):
+        outs = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"scan-{threads}.{fmt}"
+            assert cli.main(["gap-scan", "--config", cfg, "--format", fmt, "--threads", threads,
+                             "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2], fmt
+
+
+def test_failing_gap_scan_reports_the_first_failing_n(tmp_path, capsys, monkeypatch):
+    """Failures at N=6 and N=7, in different workers' shares, give the
+    serial run's exit code and message whatever the worker count."""
+    monkeypatch.setattr(freefermion, "usable_cpus", lambda: 3)
+    solve = freefermion.big_loop_gap
+
+    def failing(ladder, couplings, patterns):
+        if ladder.n_cells in (6, 7):
+            raise MalformedMatrixError(f"no solve at {ladder.n_cells}")
+        return solve(ladder, couplings, patterns)
+
+    monkeypatch.setattr(cli.freefermion, "big_loop_gap", failing)
+    cfg = write_config(tmp_path, SCAN)
+    out = tmp_path / "scan.csv"
+    for threads in ("1", "2", "3"):
+        assert cli.main(["gap-scan", "--config", cfg, "--threads", threads, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: config.couplings: at N=6: no solve at 6\n"
+        assert not out.exists()
+
+
 def test_compare_dense_both_boundaries(tmp_path):
     open_cfg = write_config(
         tmp_path,
@@ -699,12 +741,15 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert "convergence failure" in capsys.readouterr().err
 
 
-# size guards: exit 3, "guard exceeded", no artifact (the spectrum, sweep and
+# size guards: exit 3, "guard exceeded", no artifact (the spin spectrum, sweep and
 # gap-scan guards are checked in test_exit_codes and test_ladder_guard_precedes_build_ladder)
 GUARDED = {
     "rp-samples": ("rp-verify", {"majoranas": 16, "samples": cli.MAX_RP_SAMPLES + 1, "seed": 1}),
     "rp-betas": ("rp-verify", {"majoranas": 16, "samples": 1, "seed": 1,
                                "betas": [1.0] * (cli.MAX_RP_BETAS + 1)}),
+    # 15 cycles and 16 modes pass their own guards; the union holds 2^31 levels
+    "union": ("spectrum", {"ladder": {"cells": 8, "boundary": "open"}, "couplings": HOMOG,
+                           "method": "fermion"}),
 }
 
 
@@ -713,8 +758,12 @@ def test_size_guards_exit_3_and_write_nothing(tmp_path, capsys, monkeypatch, cas
     def no_draw(*args, **kwargs):
         raise AssertionError("rp-verify drew before its guards")
 
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a sector was solved before the guards")
+
     monkeypatch.setattr(cli, "_rp_weights", no_draw)
     monkeypatch.setattr(cli.rp, "random_even_element", no_draw)
+    monkeypatch.setattr(np.linalg, "svd", no_solve)
     command, doc = GUARDED[case]
     out = tmp_path / "out"
     assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3

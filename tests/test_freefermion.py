@@ -2,6 +2,9 @@
 
 import itertools
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from vortexladder.freefermion import (
     sector_sweep,
     sector_union_spectrum,
     twisted_wrap_gap,
+    worker_map,
     _wrap_log_det_ratio,
 )
 from vortexladder.gauge import GaugeConfig, enumerate_sectors, gauge_for_sector, sector_from_id
@@ -150,51 +154,151 @@ def test_sector_sweep_threading_is_deterministic():
     )
 
 
-def test_sweep_thread_pool_is_capped(monkeypatch):
-    """The pool gets min(threads, #chunks, usable CPUs) workers.  The recorder
-    runs every chunk serially, so no thread is started."""
-    pools = []
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` makes during the test."""
+    made, fork = [], os.fork
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    def recorded():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", recorded)
+    return made
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+@pytest.fixture
+def deadline():
+    """A test that waits more than 60 s fails instead of hanging the suite
+    (a forked child does not inherit the alarm)."""
+    def expire(signum, frame):
+        raise TimeoutError("the test waited more than 60 s")
 
-    monkeypatch.setattr(freefermion, "ThreadPoolExecutor", SerialPool)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # no such child: it was waited for
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_sweep_worker_count_is_capped(monkeypatch, forks):
+    """The chunks run on min(threads, #chunks, usable CPUs) processes: the
+    caller and one forked child per worker beyond it."""
     rng = np.random.default_rng(37)
     wide = build_ladder(6, "closed")  # 2^13 sectors: two chunks
     narrow = build_ladder(3, "closed")  # 2^7 sectors: one chunk
-    cases = [  # ladder, threads, CPUs, pool sizes
-        (wide, 10**6, 64, [2]),
-        (wide, 10**6, 1, []),
-        (wide, 2, 64, [2]),
-        (wide, 1, 64, []),
-        (wide, None, 64, []),
-        (narrow, 10**6, 64, []),
+    cases = [  # ladder, threads, CPUs, workers
+        (wide, 10**6, 64, 2),
+        (wide, 10**6, 1, 1),
+        (wide, 2, 64, 2),
+        (wide, 1, 64, 1),
+        (wide, None, 64, 1),
+        (narrow, 10**6, 64, 1),
     ]
     for lad, threads, cpus, want in cases:
         cc = random_couplings(lad, rng)
         serial = sector_sweep(lad, cc)
-        pools.clear()
+        forks.clear()
         monkeypatch.setattr(freefermion, "usable_cpus", lambda: cpus)
         got = sector_sweep(lad, cc, threads=threads)
-        assert pools == want, (lad.n_cells, threads, cpus)
+        assert 1 + len(forks) == want, (lad.n_cells, threads, cpus)
+        assert_reaped(forks)
         assert np.array_equal(got.sector_ids, serial.sector_ids)
         assert np.array_equal(got.energies, serial.energies)
 
 
+def test_worker_map_keeps_item_order(monkeypatch, forks, deadline):
+    """The caller works items 0, w, 2w, ... and each child its own share;
+    the results come back in item order."""
+    monkeypatch.setattr(freefermion, "usable_cpus", lambda: 3)
+    got = worker_map(lambda x: (x * x, os.getpid()), range(10), 3)
+    assert [value for value, _ in got] == [x * x for x in range(10)]
+    pids = [pid for _, pid in got]
+    assert pids[0::3] == [os.getpid()] * 4
+    assert pids[1::3] == [forks[0]] * 3 and pids[2::3] == [forks[1]] * 3
+    assert_reaped(forks)
+    assert worker_map(lambda x: x, [], 3) == []
+
+
+def test_worker_map_without_fork_is_the_plain_loop(monkeypatch):
+    monkeypatch.setattr(freefermion, "usable_cpus", lambda: 3)
+    monkeypatch.delattr(os, "fork")
+    assert worker_map(lambda x: (x, os.getpid()), range(5), 3) == [(x, os.getpid()) for x in range(5)]
+
+
+@pytest.mark.parametrize("failing, first", [
+    ((4, 5), 4),  # two children: the first child's item
+    ((5, 7), 5),  # two items of two children: the second child's is earlier
+    ((2, 3), 2),  # a child's item before the caller's
+    ((3, 5), 3),  # the caller's item before a child's
+])
+def test_worker_map_raises_the_earliest_error(monkeypatch, forks, deadline, failing, first):
+    """Shares of 9 items on 3 workers: caller 0, 3, 6; children 1, 4, 7 and
+    2, 5, 8.  Whichever shares fail, the error is the serial loop's."""
+    monkeypatch.setattr(freefermion, "usable_cpus", lambda: 3)
+
+    def fn(x):
+        if x in failing:
+            raise InconsistentSectorError(f"item {x}")
+        return x
+
+    with pytest.raises(InconsistentSectorError, match=f"^item {first}$"):
+        [fn(x) for x in range(9)]
+    with pytest.raises(InconsistentSectorError, match=f"^item {first}$"):
+        worker_map(fn, range(9), 3)
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("end, status", [("exit", "7"), ("signal", "-9")])
+def test_worker_map_fails_when_a_child_sends_no_results(monkeypatch, forks, deadline, end,
+                                                       status):
+    monkeypatch.setattr(freefermion, "usable_cpus", lambda: 3)
+    caller = os.getpid()
+
+    def fn(x):
+        if x == 4 and os.getpid() != caller:
+            if end == "exit":
+                os._exit(7)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    with pytest.raises(ChildProcessError, match=f"ended with status {status} before"):
+        worker_map(fn, range(9), 3)
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_worker_map_stops_its_children_when_the_caller_is_interrupted(monkeypatch, forks,
+                                                                     deadline):
+    """An interrupt in the caller's share kills the children rather than
+    waiting for them (each would sleep past the deadline)."""
+    monkeypatch.setattr(freefermion, "usable_cpus", lambda: 2)
+    caller = os.getpid()
+
+    def fn(x):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(600)
+
+    with pytest.raises(KeyboardInterrupt):
+        worker_map(fn, range(2), 2)
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
 def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
-    """The pool size follows the CPUs this process may run on (``taskset``
-    narrows them below ``os.cpu_count()``), else the machine's count."""
-    os = freefermion.os
+    """The worker count follows the CPUs this process may run on
+    (``taskset`` narrows them below ``os.cpu_count()``), else the machine's
+    count."""
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert freefermion.usable_cpus() == 1
@@ -294,12 +398,25 @@ def test_union_spectrum_shape_and_order():
 
 
 def test_union_expansion_guard_trips_before_any_solve(monkeypatch):
-    lad = build_ladder(13, "open")  # 25 cycles pass the sector guard, 26 modes do not
-
     def no_svd(*args, **kwargs):
         raise AssertionError("a sector was solved before the guard")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
+    # open N=13: 26 modes, above the expansion guard, 2^51 union levels; open
+    # N=8: 16 modes and 15 cycles pass both factor guards, but 2^31 levels
+    for cells, bits in ((13, 51), (8, 31)):
+        lad = build_ladder(cells, "open")
+        with pytest.raises(GuardExceededError, match=f"2\\^{bits} union levels"):
+            sector_union_spectrum(lad, CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3))
+
+
+def test_union_guard_admits_its_cap(monkeypatch):
+    """The guard counts 2^(#cycles + 2N) levels: with the cap at 2^11, open
+    N=3 (5 cycles, 6 modes) runs and closed N=3 (7 cycles) does not."""
+    monkeypatch.setattr(freefermion, "MAX_UNION_BITS", 11)
+    lad = build_ladder(3, "open")
+    assert sector_union_spectrum(lad, CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3)).shape == (2 ** 11,)
+    lad = build_ladder(3, "closed")
     with pytest.raises(GuardExceededError):
         sector_union_spectrum(lad, CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3))
 

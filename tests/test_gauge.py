@@ -14,7 +14,6 @@ from vortexladder.errors import (
 )
 from vortexladder.gauge import (
     GaugeConfig,
-    VortexSector,
     _back_substitute,
     _eliminate,
     cotree_flips,

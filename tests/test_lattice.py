@@ -11,7 +11,6 @@ from vortexladder.errors import (
 from vortexladder.lattice import (
     Bond,
     BondType,
-    Boundary,
     ReflectionCase,
     build_ladder,
     reflection,
