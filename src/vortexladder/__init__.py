@@ -28,7 +28,6 @@ _SUBMODULE_EXPORTS = {
     "freefermion": (
         "CouplingConfig",
         "GapReport",
-        "ModeSpectrum",
         "SkewAdjacency",
         "SweepResult",
         "assemble_skew",

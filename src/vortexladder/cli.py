@@ -59,6 +59,7 @@ from .errors import (
     GuardExceededError,
     InvalidSpecError,
     MalformedMatrixError,
+    UnsupportedReflectionError,
 )
 from .lattice import BondType, Boundary, Ladder, ReflectionCase, build_ladder, reflection
 
@@ -96,12 +97,7 @@ class Conf:
         self.asked.setdefault(id(self.doc), set()).add(key)
 
     def child(self, key: str) -> "Conf":
-        self._ask(key)
-        if not isinstance(self.doc, dict):
-            raise self.fail("expected an object")
-        if key not in self.doc:
-            raise ConfigError(f"{self.path}.{key}: missing required key")
-        return Conf(self.doc[key], f"{self.path}.{key}", self.asked)
+        return Conf(self.get(key, object), f"{self.path}.{key}", self.asked)
 
     def has(self, key: str) -> bool:
         self._ask(key)
@@ -177,6 +173,18 @@ def _load_config(path: str | None) -> Conf:
     return Conf(doc)
 
 
+@contextlib.contextmanager
+def _config_error_at(path: str, kind: type[Exception] = ValueError) -> Iterator[None]:
+    """Turn a ``kind`` error of the body into ``ConfigError(f"{path}: {e}")``;
+    a ConfigError, which already names its path, passes unchanged."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except kind as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
 def _config_ladder(conf: Conf) -> Ladder:
     sub = conf.child("ladder")
     cells = sub.get("cells", int)
@@ -185,10 +193,8 @@ def _config_ladder(conf: Conf) -> Ladder:
         raise GuardExceededError(
             f"{cells} cells exceeds the ladder guard ({freefermion.MAX_SCAN_CELLS})"
         )
-    try:
+    with _config_error_at(sub.path):
         return build_ladder(cells, boundary)
-    except ValueError as e:
-        raise ConfigError(f"{sub.path}: {e}") from e
 
 
 def _parse_bond_key(text: str, path: str) -> tuple[int, int]:
@@ -217,16 +223,12 @@ def _config_couplings(conf: Conf, ladder: Ladder) -> freefermion.CouplingConfig:
         jx = sub.get("jx", float, 1.0)
         jy = sub.get("jy", float, 1.0)
         jz = sub.get("jz", float, 1.0)
-        try:
+        with _config_error_at(sub.path):
             return presets.make_couplings(name, ladder, jx, jy, jz)
-        except ValueError as e:
-            raise ConfigError(f"{sub.path}: {e}") from e
     if sub.has("bonds"):
         couplings = freefermion.CouplingConfig(_bond_map(sub.child("bonds")))
-        try:
+        with _config_error_at(f"{sub.path}.bonds"):
             couplings.validate_for(ladder)
-        except ValueError as e:
-            raise ConfigError(f"{sub.path}.bonds: {e}") from e
         return couplings
     raise sub.fail('needs either "preset" or "bonds"')
 
@@ -327,10 +329,8 @@ def cmd_spectrum(conf: Conf, args) -> str:
     if method == "fermion":
         if conf.has("sector"):
             pattern = conf.get("sector", str)
-            try:
+            with _config_error_at("config.sector"):
                 sec = freefermion.pattern_sector(ladder, freefermion.parse_pattern(ladder, pattern))
-            except ValueError as e:
-                raise ConfigError(f"config.sector: {e}") from e
             g = gauge.gauge_for_sector(ladder, sec)
             modes = freefermion.mode_spectrum(freefermion.assemble_skew(ladder, couplings, g))
             values = freefermion.many_body_spectrum(modes)
@@ -358,15 +358,13 @@ def cmd_spectrum(conf: Conf, args) -> str:
 
 
 def _symmetric_cases(ladder: Ladder, couplings: freefermion.CouplingConfig) -> list[str]:
-    """Reflection cases under which |J| is mirror-symmetric."""
-    candidates = [ReflectionCase.HORIZONTAL]
-    if ladder.boundary is Boundary.OPEN:
-        candidates.append(ReflectionCase.VERTICAL_OPEN)
-    elif ladder.n_cells % 2 == 0:
-        candidates.append(ReflectionCase.VERTICAL_CLOSED)
+    """The ladder's reflection cases under which |J| is mirror-symmetric."""
     holds = []
-    for case in candidates:
-        theta = reflection(ladder, case)
+    for case in ReflectionCase:
+        try:
+            theta = reflection(ladder, case)
+        except UnsupportedReflectionError:  # not a mirror of this ladder
+            continue
         ok = True
         for (i, j), val in couplings.values.items():
             ti, tj = theta[i], theta[j]
@@ -493,14 +491,10 @@ def cmd_gap_scan(conf: Conf, args) -> str:
         couplings = _config_couplings(conf, ladder)
         parsed = []
         for pattern in patterns:
-            try:
+            with _config_error_at(f"config.patterns: {pattern!r} at N={n}"):
                 parsed.append(freefermion.parse_pattern(ladder, pattern))
-            except ValueError as e:
-                raise ConfigError(f"config.patterns: {pattern!r} at N={n}: {e}") from e
-        try:
+        with _config_error_at(f"config.couplings: at N={n}"):
             reports = freefermion.big_loop_gap(ladder, couplings, parsed)
-        except ValueError as e:
-            raise ConfigError(f"config.couplings: at N={n}: {e}") from e
         return [report.gap for report in reports]
 
     # The calling process works N = first itself, so every config key the
@@ -541,8 +535,8 @@ def cmd_compare(conf: Conf, args) -> str:
     doc: dict[str, Any] = {"boundary": ladder.boundary.value, "cells": ladder.n_cells,
                            "tol": tol}
 
+    h = spin_ed.build_spin_hamiltonian(ladder, couplings)
     if ladder.n_sites <= spin_ed.MAX_DENSE_SPINS:
-        h = spin_ed.build_spin_hamiltonian(ladder, couplings)
         spin = spin_ed.block_spectrum(h, spin_ed.cycle_operators(ladder))
         union = freefermion.sector_union_spectrum(ladder, couplings)
         comp = spin_ed.compare_spectra(spin, union, tol=tol)
@@ -551,12 +545,9 @@ def cmd_compare(conf: Conf, args) -> str:
             "method": "dense",
             "comparison": comp.to_json_dict(),
             "spectra_equal": comp.equal,
-            "ground_delta": ground_delta,
-            "ground_equal": abs(ground_delta) <= tol,
         })
     else:
         seed = _resolve_seed(args, conf)
-        h = spin_ed.build_spin_hamiltonian(ladder, couplings)
         spin_ground = float(spin_ed.lowest_eigenvalues(h, k=1, seed=seed).eigenvalues[0])
         sweep = freefermion.sector_sweep(ladder, couplings, threads=_resolve_threads(args, conf))
         ground_delta = spin_ground - sweep.argmin.energy
@@ -565,9 +556,8 @@ def cmd_compare(conf: Conf, args) -> str:
             "spin_ground": spin_ground,
             "fermion_ground": sweep.argmin.energy,
             "spectra_equal": None,
-            "ground_delta": ground_delta,
-            "ground_equal": abs(ground_delta) <= tol,
         })
+    doc.update({"ground_delta": ground_delta, "ground_equal": abs(ground_delta) <= tol})
 
     if args.format == "json":
         return _json_text(doc)
@@ -578,7 +568,7 @@ def cmd_compare(conf: Conf, args) -> str:
 
 def _config_split(conf: Conf, ladder: Ladder) -> perturbation.PerturbationSplit:
     jx = conf.get("jx", float)
-    try:
+    with _config_error_at("config"):
         if conf.has("t"):
             split = perturbation.PerturbationSplit.from_uniform(ladder, jx, conf.get("t", float))
         elif conf.has("jy_bonds") or conf.has("jz_bonds"):
@@ -592,20 +582,14 @@ def _config_split(conf: Conf, ladder: Ladder) -> perturbation.PerturbationSplit:
             jz_map = {b.pair: jz for b in ladder.bonds if b.kind is BondType.Z}
             split = perturbation.PerturbationSplit(jx, jy_map, jz_map)
         split.validate_for(ladder)
-    except ConfigError:  # from conf.get: already names its path
-        raise
-    except ValueError as e:
-        raise ConfigError(f"config: {e}") from e
     return split
 
 
 def cmd_perturb(conf: Conf, args) -> str:
     ladder = _config_ladder(conf)
     split = _config_split(conf, ladder)
-    try:  # the printed ring formulas assume N > 2
+    with _config_error_at("config.ladder", InvalidSpecError):  # the ring formulas assume N > 2
         effective = perturbation.effective(ladder, split)
-    except InvalidSpecError as e:
-        raise ConfigError(f"config.ladder: {e}") from e
     validation = perturbation.validate_against_ed(ladder, split)
     scale = split.scale()
     columns = ("plaquette", "delta_e_formula", "delta_e_exact", "abs_err", "rel_err", "scale")
@@ -721,19 +705,15 @@ def cmd_rp_verify(conf: Conf, args) -> str:
 
     # extreme weights are rejected by the quadratic cross-check's mode solver,
     # first, so that they are named as weights rather than as betas
-    try:
+    with _config_error_at("config.cross_weights"):
         energy = rp.energy_inequality_check(H, h1, h2)
-    except ValueError as e:
-        raise ConfigError(f"config.cross_weights: {e}") from e
     # the trace bound makes e^{-beta H} of H, H1 and H2 before the functional
     # reuses those of H and H1, so a beta that would overflow them stops here
     trace_ok = True
     worst_margin = -float("inf")
     for beta in betas:
-        try:
+        with _config_error_at("config.betas", InvalidSpecError):
             report = rp.trace_bound_check(H, h1, h2, beta=beta)
-        except InvalidSpecError as e:
-            raise ConfigError(f"config.betas: {e}") from e
         worst_margin = max(worst_margin, report.margin)
         trace_ok = trace_ok and report.holds
 

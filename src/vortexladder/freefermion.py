@@ -57,7 +57,10 @@ from .gauge import GaugeConfig, VortexSector
 from .lattice import BondType, Boundary, Ladder
 
 MAX_EXPANSION_MODES = 24   # guard for the 2^m many-body expansion
-MAX_SWEEP_BASIS = 30       # guard for full sector sweeps
+# guard for full sector sweeps: the CLI's sweep peaks at about 33 MB plus 33 bytes
+# per sector (fit to closed N=9, 10, 11, 2-core x86 VM), so 2^27 sectors (closed
+# N=13) would take about 4.4 GB; the next basis, 29 (closed N=14), about 18 GB
+MAX_SWEEP_BASIS = 27
 SWEEP_CHUNK = 4096         # sectors per stacked SVD in a sweep
 MAX_SCAN_CELLS = 100       # guard for gap scans over N
 PAIR_TOL = 1e-8            # relative tolerance for singular-value pairing
@@ -93,11 +96,6 @@ class CouplingConfig:
 @dataclass(frozen=True)
 class SkewAdjacency:
     matrix: np.ndarray  # (4N, 4N) real antisymmetric
-
-
-@dataclass(frozen=True)
-class ModeSpectrum:
-    eps: np.ndarray  # one-particle energies, sorted descending, >= 0
 
 
 def assemble_skew(ladder: Ladder, couplings: CouplingConfig, g: GaugeConfig) -> SkewAdjacency:
@@ -162,7 +160,7 @@ def _singular_values(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)
 
 
-def mode_spectrum(skew: SkewAdjacency) -> ModeSpectrum:
+def mode_spectrum(skew: SkewAdjacency) -> np.ndarray:
     """One-particle energies of a skew matrix, descending.  A ladder matrix
     gives the singular values of its odd-to-even block; any other gives
     every other singular value of the whole matrix, whose two values of each
@@ -170,13 +168,13 @@ def mode_spectrum(skew: SkewAdjacency) -> ModeSpectrum:
     a = np.asarray(skew.matrix, dtype=float)
     scale = _check_skew(a)
     if _is_bipartite(a):
-        return ModeSpectrum(_singular_values(a[0::2, 1::2]))
+        return _singular_values(a[0::2, 1::2])
     s = _singular_values(a)
     eps = s[0::2]
     mismatch = np.abs(eps - s[1::2])
     if np.any(mismatch > PAIR_TOL * np.maximum(eps, 1.0)) or np.any(mismatch > 1e-10 * scale):
         raise MalformedMatrixError("singular values do not pair within tolerance")
-    return ModeSpectrum(eps)
+    return eps
 
 
 def _mode_sum(eps: np.ndarray) -> np.ndarray:
@@ -196,13 +194,12 @@ def _mode_sum(eps: np.ndarray) -> np.ndarray:
     return total + error
 
 
-def ground_energy(modes: ModeSpectrum) -> float:
-    return -float(_mode_sum(modes.eps))
+def ground_energy(eps: np.ndarray) -> float:
+    return -float(_mode_sum(eps))
 
 
-def many_body_spectrum(modes: ModeSpectrum) -> np.ndarray:
+def many_body_spectrum(eps: np.ndarray) -> np.ndarray:
     """All 2^m sums of +-eps_k, ascending (unconstrained; see module note)."""
-    eps = modes.eps
     if len(eps) > MAX_EXPANSION_MODES:
         raise GuardExceededError(
             f"2^{len(eps)} level expansion exceeds guard ({MAX_EXPANSION_MODES})")
@@ -427,7 +424,7 @@ def sector_union_spectrum(ladder: Ladder, couplings: CouplingConfig) -> np.ndarr
     if bits > MAX_UNION_BITS:
         raise GuardExceededError(f"2^{bits} union levels exceeds the guard ({MAX_UNION_BITS})")
     parts = _map_sectors(
-        ladder, couplings, lambda eps: [many_body_spectrum(ModeSpectrum(e)) for e in eps])
+        ladder, couplings, lambda eps: [many_body_spectrum(e) for e in eps])
     out = np.concatenate([levels for part in parts for levels in part])
     out.sort()
     return out
@@ -565,11 +562,11 @@ def _wrap_log_det_ratio(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return -2.0 * np.arctanh(trace / (1.0 + det))
 
 
-def twisted_wrap_gap(skew: SkewAdjacency, modes: ModeSpectrum) -> float:
+def twisted_wrap_gap(skew: SkewAdjacency, eps: np.ndarray) -> float:
     """Ground-energy change when the wrap bonds of a closed ladder flip sign.
 
-    ``skew`` is the matrix A of one gauge on a closed ladder and ``modes``
-    its spectrum; the other sector's matrix A' has both wrap bonds (1,4N)
+    ``skew`` is the matrix A of one gauge on a closed ladder and ``eps``
+    its mode energies; the other sector's matrix A' has both wrap bonds (1,4N)
     and (2,4N-1) negated, which flips the big loop and nothing else.  With
     det(x + A) = prod_k (x^2 + eps_k^2) and int_0^inf log((x^2 + a^2) /
     (x^2 + b^2)) dx = pi (a - b),
@@ -583,7 +580,6 @@ def twisted_wrap_gap(skew: SkewAdjacency, modes: ModeSpectrum) -> float:
     range the integrand falls off as x^-2N, because A and A' share every
     trace of a power below 2N.
     """
-    eps = modes.eps
     if eps[-1] <= 0.0:
         raise MalformedMatrixError("a zero mode leaves the gap integral without a lower scale")
     lo = float(np.log(eps[-1])) - 20.0
@@ -620,8 +616,8 @@ def big_loop_gap(
     _check_bipartite(couplings)
     free = pattern_sector(ladder, {})
     skew = assemble_skew(ladder, couplings, gauge_mod.gauge_for_sector(ladder, free))
-    modes = mode_spectrum(skew)
-    energy_free = ground_energy(modes)
+    eps_free = mode_spectrum(skew)
+    energy_free = ground_energy(eps_free)
     wrap_gap = None
     solve, gaps = [], []  # gap None: the pattern's sector is in ``solve``
     for sec in patterns:
@@ -633,7 +629,7 @@ def big_loop_gap(
         gap = None
         if ladder.boundary is Boundary.CLOSED and flipped == {"big"}:
             if wrap_gap is None:  # inf when a zero mode leaves the integral without a scale
-                wrap_gap = twisted_wrap_gap(skew, modes) if modes.eps[-1] > 0.0 else np.inf
+                wrap_gap = twisted_wrap_gap(skew, eps_free) if eps_free[-1] > 0.0 else np.inf
             if abs(wrap_gap) <= abs(energy_free) * np.finfo(float).eps * ladder.n_sites:
                 gap = wrap_gap
         if gap is None:

@@ -188,23 +188,15 @@ def reflection(ladder: Ladder, case: ReflectionCase | str) -> dict[int, int]:
     """
     case = ReflectionCase(case)
     N = ladder.n_cells
-    if case is ReflectionCase.HORIZONTAL:
-        theta = {}
-        for n in range(1, N + 1):
-            theta[4 * n - 3] = 4 * n - 2
-            theta[4 * n - 2] = 4 * n - 3
-            theta[4 * n - 1] = 4 * n
-            theta[4 * n] = 4 * n - 1
+    if case is ReflectionCase.HORIZONTAL:  # each cell's rungs are (4n-3, 4n-2), (4n-1, 4n)
+        theta = {s: s + 1 if s % 2 else s - 1 for s in range(1, 4 * N + 1)}
         negative = frozenset(s for s in range(1, 4 * N + 1) if ladder.rail(s) == 0)
-    elif case is ReflectionCase.VERTICAL_OPEN:
-        if ladder.boundary is not Boundary.OPEN:
-            raise UnsupportedReflectionError("vertical-open requires an open ladder")
-        theta = {k: 4 * N + 1 - k for k in range(1, 4 * N + 1)}
-        negative = frozenset(s for s in range(1, 4 * N + 1) if ladder.column(s) <= N)
     else:
-        if ladder.boundary is not Boundary.CLOSED:
-            raise UnsupportedReflectionError("vertical-closed requires a closed ladder")
-        if N % 2:
+        boundary = Boundary.OPEN if case is ReflectionCase.VERTICAL_OPEN else Boundary.CLOSED
+        if ladder.boundary is not boundary:
+            article = "an" if boundary is Boundary.OPEN else "a"
+            raise UnsupportedReflectionError(f"{case.value} requires {article} {boundary.value} ladder")
+        if boundary is Boundary.CLOSED and N % 2:
             raise UnsupportedReflectionError(
                 "vertical-closed requires even N so both mirror planes avoid sites"
             )

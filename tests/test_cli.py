@@ -741,8 +741,9 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert "convergence failure" in capsys.readouterr().err
 
 
-# size guards: exit 3, "guard exceeded", no artifact (the spin spectrum, sweep and
-# gap-scan guards are checked in test_exit_codes and test_ladder_guard_precedes_build_ladder)
+# size guards: exit 3, "guard exceeded", no artifact (the spin spectrum and gap-scan
+# guards, and the ladder guard, are checked in test_exit_codes and
+# test_ladder_guard_precedes_build_ladder)
 GUARDED = {
     "rp-samples": ("rp-verify", {"majoranas": 16, "samples": cli.MAX_RP_SAMPLES + 1, "seed": 1}),
     "rp-betas": ("rp-verify", {"majoranas": 16, "samples": 1, "seed": 1,
@@ -750,6 +751,8 @@ GUARDED = {
     # 15 cycles and 16 modes pass their own guards; the union holds 2^31 levels
     "union": ("spectrum", {"ladder": {"cells": 8, "boundary": "open"}, "couplings": HOMOG,
                            "method": "fermion"}),
+    # 29 cycles: the 2^29 sectors' columns alone would fill more than the machine
+    "sweep": ("sweep", {"ladder": {"cells": 14, "boundary": "closed"}, "couplings": HOMOG}),
 }
 
 
@@ -833,6 +836,51 @@ def test_non_finite_and_negative_values_are_config_errors(tmp_path, capsys, case
             "spectrum-k-zero": "config.k", "spectrum-k-negative": "config.k"}
     if case in path:
         assert path[case] in err
+    assert not out.exists()
+
+
+def _failing_solve(ladder, couplings, patterns):
+    raise MalformedMatrixError(f"no solve at {ladder.n_cells}")
+
+
+# every place a command turns a library error into a config error that names a
+# config path: command, config, the exact start of the message ("scan-solve"
+# stubs the gap solve to fail)
+SCAN_DOC = {"ladder": {"boundary": "closed"}, "cells_range": [4, 5],
+            "couplings": {"preset": "decaying-top-closed"}}
+CONFIG_ERROR_SITES = {
+    "ladder": ("sweep", {"ladder": {"cells": 1}, "couplings": HOMOG}, "config.ladder: "),
+    "couplings-preset": ("spectrum", {"ladder": {"cells": 2}, "method": "fermion",
+                                      "couplings": {"preset": "homogeneous-xyz", "jx": 0}},
+                         "config.couplings: "),
+    "couplings-bonds": ("spectrum", {"ladder": {"cells": 2}, "method": "fermion",
+                                     "couplings": {"bonds": {"1-2": 1.0}}},
+                        "config.couplings.bonds: "),
+    "sector": ("spectrum", {"ladder": {"cells": 2}, "couplings": HOMOG, "method": "fermion",
+                            "sector": "p99"}, "config.sector: "),
+    "scan-pattern": ("gap-scan", {**SCAN_DOC, "patterns": ["BL", "p99"]},
+                     "config.patterns: 'p99' at N=4: "),
+    "scan-solve": ("gap-scan", SCAN_DOC, "config.couplings: at N=4: no solve at 4"),
+    "split": ("perturb", {"ladder": {"cells": 2}, "jx": 1.0, "t": -0.01}, "config: "),
+    "perturb-ring": ("perturb", {"ladder": {"cells": 2, "boundary": "closed"}, "jx": 1.0,
+                                 "t": 0.02}, "config.ladder: "),
+    "rp-weights": ("rp-verify", {"majoranas": 8, "samples": 5, "seed": 3,
+                                 "cross_weights": [1e300, 1, 1, 1]}, "config.cross_weights: "),
+    "rp-trace-bound": ("rp-verify", {"majoranas": 8, "samples": 3, "seed": 3, "betas": [400]},
+                       "config.betas: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERROR_SITES))
+def test_library_errors_name_their_config_path(tmp_path, capsys, monkeypatch, case):
+    command, doc, prefix = CONFIG_ERROR_SITES[case]
+    if case == "scan-solve":
+        monkeypatch.setattr(cli.freefermion, "big_loop_gap", _failing_solve)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {prefix}"), err
+    assert not err[len(f"config error: {prefix}"):].startswith("config"), err  # wrapped once
     assert not out.exists()
 
 

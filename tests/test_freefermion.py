@@ -18,7 +18,6 @@ from vortexladder.errors import (
 )
 from vortexladder.freefermion import (
     CouplingConfig,
-    ModeSpectrum,
     SkewAdjacency,
     assemble_skew,
     big_loop_gap,
@@ -66,7 +65,7 @@ def test_mode_spectrum_matches_hermitian_eigenvalues():
         cc = random_couplings(lad, rng)
         u = {b.pair: int(rng.choice([-1, 1])) for b in lad.bonds}
         skew = assemble_skew(lad, cc, GaugeConfig(u))
-        eps = mode_spectrum(skew).eps
+        eps = mode_spectrum(skew)
         ev = np.linalg.eigvalsh(1j * skew.matrix)
         assert np.all(eps >= 0)
         # Hermitian spectrum of iA is the +-eps pairing
@@ -88,29 +87,29 @@ def test_mode_spectrum_rejects_malformed_matrices():
 def test_ground_energy_is_minus_mode_sum():
     lad = build_ladder(2, "open")
     cc = CouplingConfig.homogeneous(lad, 1.0, 0.7, 1.3)
-    ms = mode_spectrum(assemble_skew(lad, cc, GaugeConfig.all_plus(lad)))
-    assert ground_energy(ms) == pytest.approx(-float(np.sum(ms.eps)), abs=1e-14)
+    eps = mode_spectrum(assemble_skew(lad, cc, GaugeConfig.all_plus(lad)))
+    assert ground_energy(eps) == pytest.approx(-float(np.sum(eps)), abs=1e-14)
     # summed in twice the working precision: a running sum drops every 2^-53
-    tiny = ModeSpectrum(np.array([1.0] + [2.0**-53] * 6))
-    assert sum(tiny.eps.tolist()) == float(np.sum(tiny.eps)) == 1.0
-    assert ground_energy(tiny) == -(1.0 + 3 * 2.0**-52) == -math.fsum(tiny.eps)
+    tiny = np.array([1.0] + [2.0**-53] * 6)
+    assert sum(tiny.tolist()) == float(np.sum(tiny)) == 1.0
+    assert ground_energy(tiny) == -(1.0 + 3 * 2.0**-52) == -math.fsum(tiny)
     rng = np.random.default_rng(7)
     for _ in range(200):
         eps = np.sort(rng.uniform(0.0, 3.0, 16) ** 4)[::-1]
         exact = math.fsum(eps)
-        assert abs(-ground_energy(ModeSpectrum(eps)) - exact) <= np.spacing(exact)
+        assert abs(-ground_energy(eps) - exact) <= np.spacing(exact)
 
 
 def test_many_body_spectrum_is_all_sign_choices():
     eps = np.array([0.3, 1.1, 2.0])
-    got = np.sort(many_body_spectrum(ModeSpectrum(eps)))
+    got = np.sort(many_body_spectrum(eps))
     want = np.sort(
         [sum(s * e for s, e in zip(signs, eps)) for signs in itertools.product((-1, 1), repeat=3)]
     )
     assert got.shape == (8,)
     assert np.allclose(got, want, atol=1e-14)
     with pytest.raises(GuardExceededError):
-        many_body_spectrum(ModeSpectrum(np.ones(25)))
+        many_body_spectrum(np.ones(25))
 
 
 def test_sector_sweep_agrees_with_per_sector_solves():
@@ -364,12 +363,12 @@ def test_block_energies_match_full_matrix_spectrum():
         for sec in enumerate_sectors(lad):
             skew = assemble_skew(lad, cc, gauge_for_sector(lad, sec))
             full = np.linalg.svd(skew.matrix, compute_uv=False)[0::2]  # the whole 4N x 4N A
-            eps = mode_spectrum(skew).eps
+            eps = mode_spectrum(skew)
             assert eps.shape == full.shape
             assert np.allclose(eps, full, rtol=0, atol=1e-13 * full[0]), (n, bnd, sec)
             energy = sweep.row_for(sec.sector_id).energy
             assert energy == pytest.approx(-full.sum(), rel=1e-13, abs=0)
-            levels.append(many_body_spectrum(ModeSpectrum(full)))
+            levels.append(many_body_spectrum(full))
         want = np.sort(np.concatenate(levels))
         assert union.shape == want.shape
         assert np.abs(union - want).max() <= 1e-12 * np.abs(want).max(), (n, bnd)
@@ -466,7 +465,7 @@ def _reference_reports(ladder, cc, patterns):
     """What ``big_loop_gap`` must report, from one sector solve per pattern."""
     free = pattern_sector(ladder, {})
     skew = assemble_skew(ladder, cc, gauge_for_sector(ladder, free))
-    modes = mode_spectrum(skew)
+    eps_free = mode_spectrum(skew)
     energy_free = sector_ground_energy(ladder, cc, free)
     floor = abs(energy_free) * np.finfo(float).eps * ladder.n_sites
     out = []
@@ -474,7 +473,7 @@ def _reference_reports(ladder, cc, patterns):
         sec = pattern_sector(ladder, parse_pattern(ladder, text))
         flipped = {name for name, v in sec.values.items() if v == -1}
         if ladder.boundary.value == "closed" and flipped == {"big"}:
-            wrap = twisted_wrap_gap(skew, modes)
+            wrap = twisted_wrap_gap(skew, eps_free)
             if abs(wrap) <= floor:
                 out.append(("twisted", wrap))
                 continue
@@ -614,7 +613,7 @@ def test_cyclic_reduction_matches_sequential_elimination():
             cc = random_couplings(ring, rng, lo=-2.0, hi=2.0)
             sid = int("".join(map(str, rng.integers(0, 2, len(ring.cycle_names)))), 2)
             skew = assemble_skew(ring, cc, gauge_for_sector(ring, sector_from_id(ring, sid)))
-            _assert_integrands_agree(skew.matrix, _gap_nodes(mode_spectrum(skew).eps))
+            _assert_integrands_agree(skew.matrix, _gap_nodes(mode_spectrum(skew)))
 
 
 def test_cyclic_reduction_on_every_chain_length():
