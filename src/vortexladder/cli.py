@@ -12,7 +12,7 @@ core count or ``OPENBLAS_NUM_THREADS``.  The only parallelism is
 ``--threads``, the number of worker processes of ``sweep`` and ``gap-scan``
 (``freefermion.worker_map``), and no output depends on it.  A process that
 imports this module before numpy starts numpy's OpenBLAS on one thread as
-well.
+well, and keeps its freed heap (``_keep_freed_heap``).
 """
 
 from __future__ import annotations
@@ -45,12 +45,39 @@ def _one_thread_variable() -> Iterator[None]:
             os.environ["OPENBLAS_NUM_THREADS"] = env
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed blocks below 4 MiB in this process's heap instead of giving
+    them back to the OS.  A ``gap-scan`` ladder's temporaries (up to the
+    1.28 MB skew matrix at ``MAX_SCAN_CELLS``) would otherwise be mapped,
+    returned and faulted in again for every ladder; one-off arrays (the
+    16-spin CSR, 19 MB) are still mapped on their own and returned when
+    freed.  Nothing happens where the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library to open, or no mallopt
+        return
+    mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 # A process whose first numpy import is this one starts numpy's OpenBLAS with
 # one thread instead of one per core: every command runs on one anyway
 # (``_one_blas_thread``), and starting the spare threads costs every process
-# CPU time.
-with contextlib.nullcontext() if "numpy" in sys.modules else _one_thread_variable():
+# CPU time.  Such a process, a CLI process, also keeps its freed heap; one
+# that imported numpy first (a test run, a library caller) keeps its own
+# allocator settings and its BLAS threads.
+if "numpy" in sys.modules:
     import numpy as np
+else:
+    _keep_freed_heap()
+    with _one_thread_variable():
+        import numpy as np
 
 from . import freefermion, gauge, perturbation, presets, rp, spin_ed
 from .errors import (
@@ -67,7 +94,7 @@ _MISSING = object()
 
 # rp-verify keeps every drawn sample and builds a Gram matrix and three Gibbs
 # states per beta; at these limits, with 16 Majoranas and all 128 monomials of
-# the negative half, a run peaks at 335 MB and takes 28 s (2-core x86 VM).
+# the negative half, a run peaks at 337 MB and takes 20 s (2-core x86 VM).
 MAX_RP_SAMPLES = 10_000
 MAX_RP_BETAS = 64
 
@@ -386,18 +413,38 @@ def _cycle_value_columns(n: int) -> list[str]:
     return texts
 
 
+def _tie_count(energies: np.ndarray) -> int:
+    """How many of the ascending ``energies`` tie with the first:
+    ``energies[k] - energies[0] <= 1e-12 * max(1, |energies[0]|)``.  That
+    difference never falls as k grows, so the ties are a prefix, found by
+    bisection with no per-sector temporary."""
+    e_min = energies[0]
+    tol = 1e-12 * max(1.0, abs(e_min))
+    lo, hi = 0, len(energies)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if energies[mid] - e_min <= tol:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def _sweep_csv(names: Sequence[str], ids: np.ndarray, energies: np.ndarray,
-               ties: np.ndarray, footer: Sequence[str]) -> Iterator[str]:
-    """The sweep CSV in pieces of SWEEP_PIECE_ROWS rows.  A row's cycle values are
-    the texts of the high and the low half of its id's bits, so the tables
-    hold 2^ceil(n/2) + 2^floor(n/2) strings instead of 2^n."""
+               ties: int, footer: Sequence[str]) -> Iterator[str]:
+    """The sweep CSV in pieces of SWEEP_PIECE_ROWS rows, the first ``ties``
+    rows flagged as argmin.  A row's cycle values are the texts of the high
+    and the low half of its id's bits, so the tables hold 2^ceil(n/2) +
+    2^floor(n/2) strings instead of 2^n."""
     low_bits = len(names) // 2
     high, low = _cycle_value_columns(len(names) - low_bits), _cycle_value_columns(low_bits)
     mask = (1 << low_bits) - 1
     yield ",".join(["sector_id", *names, "ground_energy", "is_argmin"]) + "\n"
     for start in range(0, len(ids), SWEEP_PIECE_ROWS):
-        part = slice(start, start + SWEEP_PIECE_ROWS)
-        flags = np.where(ties[part], ",1", ",0").tolist()
+        stop = min(start + SWEEP_PIECE_ROWS, len(ids))
+        part = slice(start, stop)
+        tied = min(max(ties, start), stop) - start
+        flags = [",1"] * tied + [",0"] * (stop - start - tied)
         yield "".join(
             f"{sid}{high[sid >> low_bits]}{low[sid & mask]},{_g17(energy)}{flag}\n"
             for sid, energy, flag in zip(ids[part].tolist(), energies[part].tolist(), flags)
@@ -411,9 +458,8 @@ def cmd_sweep(conf: Conf, args) -> str | Iterator[str]:
     threads = _resolve_threads(args, conf)
     result = freefermion.sector_sweep(ladder, couplings, threads=threads)
     ids, energies = result.sector_ids, result.energies
-    e_min = energies[0]
-    ties = np.abs(energies - e_min) <= 1e-12 * max(1.0, abs(e_min))
-    tie_ids = ids[ties].tolist()
+    ties = _tie_count(energies)
+    tie_ids = ids[:ties].tolist()
     argmin_id = result.argmin.sector.sector_id
     cases = _symmetric_cases(ladder, couplings)
     names = list(ladder.cycle_names)

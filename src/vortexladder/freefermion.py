@@ -7,7 +7,10 @@ joins an odd site to an even one, so A couples rows 0::2 only to rows 1::2
 and is fixed by its 2N x 2N odd-to-even block M = A[0::2, 1::2].  The
 one-particle modes eps_k >= 0 are the singular values of M (Kitaev,
 cond-mat/0506438); the many-body levels are all sums sum_k (+-eps_k), the
-ground energy is -sum_k eps_k, summed in twice the working precision.  Every
+ground energy is -sum_k eps_k, summed in twice the working precision
+(``_mode_sum``: row by row on Python floats for the few rows of a
+``big_loop_gap`` solve, column by column on whole arrays for a sweep chunk,
+with the same bits either way).  Every
 vortex-sector solve is one SVD of its M.  Sweeps and ``big_loop_gap`` stack
 the blocks of many sectors of one ladder and take one batched SVD: each
 block is a reference block with the entry of every co-tree bond whose sign
@@ -57,13 +60,14 @@ from .gauge import GaugeConfig, VortexSector
 from .lattice import BondType, Boundary, Ladder
 
 MAX_EXPANSION_MODES = 24   # guard for the 2^m many-body expansion
-# guard for full sector sweeps: the CLI's sweep peaks at about 33 MB plus 33 bytes
+# guard for full sector sweeps: the CLI's sweep peaks at about 30 MB plus 32 bytes
 # per sector (fit to closed N=9, 10, 11, 2-core x86 VM), so 2^27 sectors (closed
-# N=13) would take about 4.4 GB; the next basis, 29 (closed N=14), about 18 GB
+# N=13) would take about 4.4 GB; the next basis, 29 (closed N=14), about 17 GB
 MAX_SWEEP_BASIS = 27
 SWEEP_CHUNK = 4096         # sectors per stacked SVD in a sweep
 MAX_SCAN_CELLS = 100       # guard for gap scans over N
 PAIR_TOL = 1e-8            # relative tolerance for singular-value pairing
+SCALAR_SUM_ROWS = 32       # _mode_sum's row-by-row loop below this many rows (measured crossover)
 GAP_LOG_STEP = 0.25        # trapezoid step in log(x) for twisted_wrap_gap
 # guard for the 2^(#cycles + 2N) levels of a sector union: at 23 (open N=6) the
 # CLI's union peaks at 1.8 GB and takes 16 s (CSV, 2-core x86 VM); the next size
@@ -86,7 +90,7 @@ class CouplingConfig:
         return self.values[pair]
 
     def validate_for(self, ladder: Ladder) -> None:
-        if set(self.values) != set(ladder.bond_map):
+        if self.values.keys() != ladder.bond_map.keys():
             raise InvalidSpecError("couplings do not cover exactly the ladder bonds")
         for pair, val in self.values.items():
             if not math.isfinite(val):
@@ -100,14 +104,15 @@ class SkewAdjacency:
 
 def assemble_skew(ladder: Ladder, couplings: CouplingConfig, g: GaugeConfig) -> SkewAdjacency:
     couplings.validate_for(ladder)
-    if set(g.u) != set(ladder.bond_map):
+    if g.u.keys() != ladder.bond_map.keys():
         raise InvalidSpecError("gauge does not cover exactly the ladder bonds")
-    n = ladder.n_sites
-    a = np.zeros((n, n))
-    for (i, j), J in couplings.values.items():
-        w = J * g.u[(i, j)]
-        a[i - 1, j - 1] = w
-        a[j - 1, i - 1] = -w
+    pairs = list(couplings.values)
+    i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T - 1
+    w = (np.fromiter(couplings.values.values(), float, len(pairs))
+         * np.fromiter(map(g.u.__getitem__, pairs), float, len(pairs)))
+    a = np.zeros((ladder.n_sites, ladder.n_sites))
+    a[i, j] = w
+    a[j, i] = -w
     return SkewAdjacency(a)
 
 
@@ -116,8 +121,9 @@ def _check_skew(a: np.ndarray) -> float:
     antisymmetric matrix; MalformedMatrixError for any other."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise MalformedMatrixError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if np.abs(a + a.T).max(initial=0.0) > 1e-12 * scale:
+    scale = max(1.0, float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
+    sym = a + a.T
+    if np.abs(sym, out=sym).max(initial=0.0) > 1e-12 * scale:
         raise MalformedMatrixError("matrix is not antisymmetric within 1e-12")
     if a.shape[0] % 2:
         raise MalformedMatrixError("odd dimension cannot pair Majorana modes")
@@ -183,15 +189,32 @@ def _mode_sum(eps: np.ndarray) -> np.ndarray:
     addition's rounding error is recovered exactly and added at the end).
     The singular values of M carry errors near 1e-16 * eps_max, so a plain
     running sum's rounding would dominate a ground energy's error, and with
-    it the error of a gap between two sectors."""
-    total = np.zeros(eps.shape[:-1])
-    error = np.zeros(eps.shape[:-1])
-    for x in np.moveaxis(eps, -1, 0):
-        new = total + x
-        part = new - total
-        error += (total - (new - part)) + (x - part)
-        total = new
-    return total + error
+    it the error of a gap between two sectors.
+
+    A stack of fewer than SCALAR_SUM_ROWS rows (a ``big_loop_gap`` solve)
+    runs the recurrence on Python floats, row by row; a longer one (a sweep
+    chunk) runs it column by column on whole arrays.  Both make the same
+    IEEE operations in the same order, so they agree bit for bit."""
+    rows = math.prod(eps.shape[:-1])
+    if rows >= SCALAR_SUM_ROWS:
+        total = np.zeros(eps.shape[:-1])
+        error = np.zeros(eps.shape[:-1])
+        for x in np.moveaxis(eps, -1, 0):
+            new = total + x
+            part = new - total
+            error += (total - (new - part)) + (x - part)
+            total = new
+        return total + error
+    sums = []
+    for row in eps.reshape(rows, eps.shape[-1]).tolist():
+        total = error = 0.0
+        for x in row:
+            new = total + x
+            part = new - total
+            error += (total - (new - part)) + (x - part)
+            total = new
+        sums.append(total + error)
+    return np.array(sums).reshape(eps.shape[:-1])
 
 
 def ground_energy(eps: np.ndarray) -> float:

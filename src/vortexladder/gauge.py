@@ -37,6 +37,7 @@ from .errors import (
 from .lattice import Ladder, Loop
 
 MAX_SECTOR_BASIS = 30  # guard for full sector enumeration
+_SIGNS = frozenset((-1, 1))
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,11 @@ class GaugeConfig:
     u: Mapping[tuple[int, int], int]
 
     def __post_init__(self):
+        try:
+            if _SIGNS.issuperset(self.u.values()):
+                return
+        except TypeError:  # an unhashable value, named below
+            pass
         for key, val in self.u.items():
             if val not in (-1, 1):
                 raise InvalidSpecError(f"u{key} = {val!r}, expected +-1")
@@ -89,7 +95,7 @@ def sector_of(ladder: Ladder, gauge: GaugeConfig) -> VortexSector:
     """The sector of ``gauge``: each basis loop's ``vortex_value``, read off
     the ladder's ``cycle_bonds``.  A step against its bond's orientation
     reads -u, so a loop with k such steps has value -(-1)^k prod u."""
-    if set(gauge.u) != set(ladder.bond_map):
+    if gauge.u.keys() != ladder.bond_map.keys():
         raise InvalidSpecError("gauge does not cover exactly the ladder bonds")
     u = gauge.u
     values = {name: (1 if backward % 2 else -1) * prod(map(u.__getitem__, pairs))
@@ -99,7 +105,7 @@ def sector_of(ladder: Ladder, gauge: GaugeConfig) -> VortexSector:
 
 def sector_id(ladder: Ladder, values: Mapping[str, int]) -> int:
     names = ladder.cycle_names
-    if set(values) != set(names):
+    if values.keys() != ladder.cycles.keys():
         raise InconsistentSectorError(
             f"sector must assign exactly {names}, got {tuple(values)}"
         )
@@ -164,14 +170,6 @@ def cycle_cotree_matrix(ladder: Ladder, cotree: Sequence[tuple[int, int]]) -> li
             for pairs, _ in ladder.cycle_bonds.values()]
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _eliminate(rows: list[int]) -> list[int]:
     """Forward elimination of the n ``rows`` over GF(2); InconsistentSectorError
     if they are dependent or have a column beyond the n-th (a ladder with more
@@ -183,7 +181,8 @@ def _eliminate(rows: list[int]) -> list[int]:
     leaves each pivot row with bit c and higher bits alone; a column view
     (``cols[c]``: the rows holding bit c) finds pivots and the rows to clear
     without a scan.  A cycle/co-tree matrix is nearly bidiagonal and barely
-    fills in, so this is near-linear in n.
+    fills in, so this is near-linear in n.  Each loop over the set bits of a
+    mask takes its lowest bit and clears it.
     """
     n = len(rows)
     if max(rows, default=0) >> n:
@@ -191,8 +190,10 @@ def _eliminate(rows: list[int]) -> list[int]:
     aug = [row | 1 << (n + r) for r, row in enumerate(rows)]
     cols = [0] * n
     for r, row in enumerate(rows):
-        for c in _bits(row):
-            cols[c] |= 1 << r
+        while row:
+            bit = row & -row
+            cols[bit.bit_length() - 1] |= 1 << r
+            row ^= bit
     low = (1 << n) - 1  # the coefficient bits
     free = low  # rows not yet a pivot
     pivots = []
@@ -203,11 +204,18 @@ def _eliminate(rows: list[int]) -> list[int]:
         p = (below & -below).bit_length() - 1
         free ^= 1 << p
         below ^= 1 << p
-        pivots.append(aug[p])
-        for r in _bits(below):
-            aug[r] ^= aug[p]
-        for c2 in _bits(aug[p] & low):
-            cols[c2] ^= below
+        pivot = aug[p]
+        pivots.append(pivot)
+        rest = below
+        while rest:
+            bit = rest & -rest
+            aug[bit.bit_length() - 1] ^= pivot
+            rest ^= bit
+        rest = pivot & low
+        while rest:
+            bit = rest & -rest
+            cols[bit.bit_length() - 1] ^= below
+            rest ^= bit
     return pivots
 
 
@@ -238,7 +246,11 @@ class CycleSystem:
     @classmethod
     def of(cls, ladder: Ladder) -> "CycleSystem":
         _, cotree = spanning_cotree(ladder)
-        sid0 = sector_of(ladder, GaugeConfig.all_plus(ladder)).sector_id
+        # the all-(+1) gauge gives a loop with k backward steps the value -(-1)^k,
+        # so its sector id has the bit of each loop with even k set
+        sid0 = 0
+        for _, backward in ladder.cycle_bonds.values():
+            sid0 = sid0 << 1 | (backward % 2 == 0)
         rows = cycle_cotree_matrix(ladder, cotree)[::-1]
         return cls(tuple(cotree), sid0, tuple(_eliminate(rows)))
 

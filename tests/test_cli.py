@@ -2,6 +2,7 @@
 
 import ctypes
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -299,19 +300,43 @@ def test_lazy_json_arrays_are_made_as_they_are_written():
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 5])
-def test_sweep_csv_pieces_on_even_and_odd_cycle_counts(n):
+def test_sweep_csv_pieces_on_even_and_odd_cycle_counts(n, monkeypatch):
     names = [f"c{k}" for k in range(n)]
     ids = np.random.default_rng(n).permutation(1 << n)
     energies = -np.arange(1 << n, dtype=float) / 3
-    ties = ids % 3 == 0
-    want = ["sector_id," + ",".join(names) + ",ground_energy,is_argmin"]
-    for sid, energy, tie in zip(ids.tolist(), energies.tolist(), ties.tolist()):
-        values = ["-1" if (sid >> (n - 1 - k)) & 1 else "1" for k in range(n)]
-        want.append(",".join([str(sid), *values, cli._g17(energy), "1" if tie else "0"]))
-    want.append("# end")
-    pieces = list(cli._sweep_csv(names, ids, energies, ties, ["# end"]))
-    assert "".join(pieces) == "\n".join(want) + "\n"
-    assert len(pieces) == 2 + -(-(1 << n) // cli.SWEEP_PIECE_ROWS)
+    for piece, ties in itertools.product((3, cli.SWEEP_PIECE_ROWS), {0, 1, 4, (1 << n) - 1, 1 << n}):
+        monkeypatch.setattr(cli, "SWEEP_PIECE_ROWS", piece)
+        want = ["sector_id," + ",".join(names) + ",ground_energy,is_argmin"]
+        for row, (sid, energy) in enumerate(zip(ids.tolist(), energies.tolist())):
+            values = ["-1" if (sid >> (n - 1 - k)) & 1 else "1" for k in range(n)]
+            want.append(",".join([str(sid), *values, cli._g17(energy), "1" if row < ties else "0"]))
+        want.append("# end")
+        pieces = list(cli._sweep_csv(names, ids, energies, ties, ["# end"]))  # first `ties` flagged
+        assert "".join(pieces) == "\n".join(want) + "\n"
+        assert len(pieces) == 2 + -(-(1 << n) // piece)
+
+
+@pytest.mark.parametrize("e_min", [-3.0, -0.25, 0.0, 2.5, -7.3e5, -1.5e15])
+def test_sweep_ties_are_the_prefix_the_mask_found(e_min):
+    """``_tie_count`` finds by bisection the prefix of sorted energies that the
+    sweep's former mask ``|E - E_min| <= 1e-12 max(1, |E_min|)`` flags, with
+    values one ulp either side of the tolerance among them."""
+    tol = 1e-12 * max(1.0, abs(e_min))
+    near = [e_min + tol]  # the edge, and three ulps either side of it
+    for _ in range(3):
+        near = [np.nextafter(near[0], -np.inf), *near, np.nextafter(near[-1], np.inf)]
+    cases = [[e_min], [e_min] * 5, [e_min] * 3 + [e_min + 4 * tol], [e_min, *near, e_min + 2 * tol]]
+    cases += [[e_min, e_min, x, x, e_min + 4 * tol] for x in near]
+    flagged = []
+    for case in cases:
+        energies = np.array(case)
+        mask = np.abs(energies - e_min) <= tol
+        ties = cli._tie_count(energies)
+        assert mask[:ties].all() and not mask[ties:].any(), case
+        flagged.append(ties)
+    assert flagged[:3] == [1, 5, 3]
+    assert 1 < flagged[3] < len(cases[3]) - 1  # the edge falls inside the seven values
+    assert {flagged[k] for k in range(4, len(cases))} == {2, 4}
 
 
 def test_gap_scan_summary(tmp_path):
@@ -929,6 +954,38 @@ def test_cli_process_starts_numpy_blas_on_one_thread():
             pytest.skip("numpy bundles no OpenBLAS")
         assert _python_json(read, env) == [[1], value]
         assert _python_json("import numpy; " + read, env) == [[numpy_own], value]
+
+
+_RECORD_MALLOPT = """
+import ctypes, json
+calls = []
+
+class CDLL(ctypes.CDLL):
+    def __getattr__(self, name):
+        fn = super().__getattr__(name)
+        if name != "mallopt":
+            return fn
+
+        def mallopt(*args):
+            calls.append(args)
+            return fn(*args)
+        return mallopt
+
+ctypes.CDLL = CDLL
+"""
+
+
+def test_cli_process_keeps_its_freed_heap():
+    """A process that imports the CLI before numpy sets glibc's mmap
+    threshold to 4 MiB and its trim threshold to 64 MiB, once; one that
+    imported numpy first keeps its allocator as it was."""
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        pytest.skip("the C library has no mallopt")
+    read = "import vortexladder.cli; print(json.dumps(calls))"
+    assert _python_json(_RECORD_MALLOPT + read, None) == [[-3, 4 << 20], [-1, 64 << 20]]
+    assert _python_json(_RECORD_MALLOPT + "import numpy; " + read, None) == []
 
 
 def test_lanczos_bytes_do_not_depend_on_blas_threads(tmp_path):

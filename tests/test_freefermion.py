@@ -100,6 +100,92 @@ def test_ground_energy_is_minus_mode_sum():
         assert abs(-ground_energy(eps) - exact) <= np.spacing(exact)
 
 
+def _mode_sum_stacks():
+    """Stacks on both sides of _mode_sum's row switch: mixed magnitudes and
+    signs, cancellations and signed zeros."""
+    rng = np.random.default_rng(11)
+
+    def row(n):
+        x = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-20, 20, n)
+        x[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+        half = n // 2
+        x[half : 2 * half : 2] = -x[: half : 2]  # terms that cancel exactly
+        return x
+
+    stacks = [row(n) for n in (1, 2, 7, 160)]
+    stacks += [np.array([-0.0]), np.array([1e16, 1.0, -1e16, 2.0**-60]), np.array([-0.0, 0.0, -0.0])]
+    stacks += [np.array([row(n) for _ in range(r)]) for r in (1, 2, 3) for n in (1, 14, 200)]
+    switch = freefermion.SCALAR_SUM_ROWS
+    stacks += [np.array([row(14) for _ in range(r)]) for r in (switch - 1, switch, switch + 1)]
+    stacks.append(np.array([row(14) for _ in range(4096)]))
+    stacks.append(np.array([row(6) for _ in range(6)]).reshape(2, 3, 6))
+    return stacks
+
+
+def test_mode_sum_loops_agree_bit_for_bit(monkeypatch):
+    """The row-by-row loop (short stacks) and the column loop (long ones) of
+    ``_mode_sum`` give the same bits, signed zeros included, on either side
+    of the row switch."""
+    for eps in _mode_sum_stacks():
+        default = freefermion._mode_sum(eps)
+        runs = []
+        for rows in (0, 1 << 30):  # every stack by columns, then every stack by rows
+            monkeypatch.setattr(freefermion, "SCALAR_SUM_ROWS", rows)
+            runs.append(freefermion._mode_sum(eps))
+        monkeypatch.undo()
+        assert all(np.shape(r) == eps.shape[:-1] for r in (default, *runs))
+        bits = [np.asarray(r, dtype=float).tobytes() for r in (default, *runs)]
+        assert bits[0] == bits[1] == bits[2], eps.shape
+    assert math.copysign(1.0, freefermion._mode_sum(np.array([-0.0]))) == 1.0
+
+
+def _reference_check_skew(a):
+    """The scale and acceptance of the two-temporary check ``_check_skew`` replaced."""
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+    return scale, not np.abs(a + a.T).max(initial=0.0) > 1e-12 * scale
+
+
+def test_check_skew_keeps_its_scale_and_decisions():
+    def skew(n, entries):
+        a = np.zeros((n, n))
+        for (i, j), v in entries.items():
+            a[i, j] = v
+        return a
+
+    off = 1e-12 * 2.5  # exactly the tolerance at scale 2.5
+    cases = {
+        "empty": np.zeros((0, 0)),
+        "all-zero": np.zeros((4, 4)),
+        "small": skew(4, {(0, 1): 0.5, (1, 0): -0.5}),
+        "negative-side": skew(4, {(0, 1): -2.5, (1, 0): 2.5}),
+        "symmetric": skew(4, {(0, 1): -2.5, (1, 0): -2.5}),
+        "nan-pair": skew(4, {(0, 1): np.nan, (1, 0): np.nan}),
+        "nan-one": skew(4, {(0, 1): np.nan, (2, 3): 2.0}),
+        "nan-and-asymmetric": skew(4, {(0, 1): np.nan, (2, 3): 2.0, (3, 2): 1.0}),
+        "inf-pair": skew(4, {(0, 1): np.inf, (1, 0): -np.inf}),
+        "inf-one": skew(4, {(0, 1): np.inf}),
+        "inf-negative": skew(4, {(0, 1): -np.inf, (1, 0): 1.0}),
+        "off-by-tol": skew(4, {(0, 1): 2.5, (1, 0): -2.5, (2, 3): off}),
+        "off-above-tol": skew(4, {(0, 1): 2.5, (1, 0): -2.5, (2, 3): np.nextafter(off, 1.0)}),
+        "off-by-tol-negative": skew(4, {(0, 1): 2.5, (1, 0): -2.5, (3, 2): -off}),
+        "off-by-tol-unit": skew(4, {(2, 3): 1e-12}),
+        "off-above-tol-unit": skew(4, {(2, 3): np.nextafter(1e-12, 1.0)}),
+    }
+    decisions = {}
+    for name, a in cases.items():
+        with np.errstate(invalid="ignore"):  # inf + (-inf)
+            scale, accepted = _reference_check_skew(a)
+            decisions[name] = accepted
+            if accepted:
+                assert freefermion._check_skew(a) == scale, name
+            else:
+                with pytest.raises(MalformedMatrixError, match="not antisymmetric"):
+                    freefermion._check_skew(a)
+    # a NaN or an infinite entry makes the comparison with the tolerance false
+    assert {name for name, ok in decisions.items() if not ok} == {
+        "symmetric", "off-above-tol", "off-above-tol-unit"}
+
+
 def test_many_body_spectrum_is_all_sign_choices():
     eps = np.array([0.3, 1.1, 2.0])
     got = np.sort(many_body_spectrum(eps))
