@@ -94,7 +94,7 @@ _MISSING = object()
 
 # rp-verify keeps every drawn sample and builds a Gram matrix and three Gibbs
 # states per beta; at these limits, with 16 Majoranas and all 128 monomials of
-# the negative half, a run peaks at 337 MB and takes 20 s (2-core x86 VM).
+# the negative half, a run peaks at 356 MB and takes 15-17 s (2-core x86 VM).
 MAX_RP_SAMPLES = 10_000
 MAX_RP_BETAS = 64
 
@@ -705,10 +705,15 @@ def _min_functional(
             row[column[mono]] = c
     q = np.empty((len(samples), len(betas)), dtype=complex)
     bound = np.empty(q.shape)
+    # each beta's products go into the same two buffers, made once
+    conj, size = coeffs.conj(), np.abs(coeffs)
+    prod, size_prod = np.empty_like(coeffs), np.empty_like(size)
     for k, beta in enumerate(betas):
         gram = rp.reflection_gram(H, theta, beta, max_degree)
-        q[:, k] = ((coeffs @ gram) * coeffs.conj()).sum(axis=1)
-        bound[:, k] = 1e-10 * ((np.abs(coeffs) @ np.abs(gram)) * np.abs(coeffs)).sum(axis=1)
+        q[:, k] = np.multiply(np.matmul(coeffs, gram, out=prod), conj, out=prod).sum(axis=1)
+        np.matmul(size, np.abs(gram), out=size_prod)
+        bound[:, k] = 1e-10 * np.multiply(size_prod, size, out=size_prod).sum(axis=1)
+    del conj, size, prod, size_prod  # not held through the evaluations below
     bad = np.abs(q.imag) > 1e-10 * np.maximum(1.0, np.abs(q))
     if bad.any():
         raise MalformedMatrixError(f"trace functional came out non-real: {q[bad][0]}")

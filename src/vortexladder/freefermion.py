@@ -14,12 +14,13 @@ with the same bits either way).  Every
 vortex-sector solve is one SVD of its M.  Sweeps and ``big_loop_gap`` stack
 the blocks of many sectors of one ladder and take one batched SVD: each
 block is a reference block with the entry of every co-tree bond whose sign
-the sector's gauge flips negated, all flips coming from one GF(2)
-elimination.  Since the block structure is exact, sector solves have no
-check that singular values pair up; both check once per ladder, before any
-SVD, that the same-parity blocks are exactly zero.  ``mode_spectrum`` keeps
-a general path for other antisymmetric matrices (every other singular value
-of A, with a pairing check).
+the sector's gauge flips negated, all flips coming from the ladder's
+closed-form cycle system (``gauge.CycleSystem``).  Since the block
+structure is exact, sector solves have no check that singular values pair
+up; both check once per ladder, before any SVD, that the same-parity blocks
+are exactly zero.  ``mode_spectrum`` keeps a general path for other
+antisymmetric matrices (every other singular value of A, with a pairing
+check).
 
 The per-sector spectra here are the unconstrained ones: no fermion-parity
 restriction is applied when expanding {+-eps_k} sums.  Comparisons against
@@ -60,9 +61,9 @@ from .gauge import GaugeConfig, VortexSector
 from .lattice import BondType, Boundary, Ladder
 
 MAX_EXPANSION_MODES = 24   # guard for the 2^m many-body expansion
-# guard for full sector sweeps: the CLI's sweep peaks at about 30 MB plus 32 bytes
+# guard for full sector sweeps: the CLI's sweep peaks at about 33 MB plus 24 bytes
 # per sector (fit to closed N=9, 10, 11, 2-core x86 VM), so 2^27 sectors (closed
-# N=13) would take about 4.4 GB; the next basis, 29 (closed N=14), about 17 GB
+# N=13) would take about 3.3 GB; the next basis, 29 (closed N=14), about 13 GB
 MAX_SWEEP_BASIS = 27
 SWEEP_CHUNK = 4096         # sectors per stacked SVD in a sweep
 MAX_SCAN_CELLS = 100       # guard for gap scans over N
@@ -437,7 +438,8 @@ def sector_sweep(
     energies = np.concatenate(
         _map_sectors(ladder, couplings, lambda eps: -_mode_sum(eps), threads))
     order = np.argsort(energies, kind="stable")  # ties stay in ascending id order
-    return SweepResult(ladder, order, energies[order])
+    energies.sort(kind="stable")  # the same as energies[order], without a third column
+    return SweepResult(ladder, order, energies)
 
 
 def sector_union_spectrum(ladder: Ladder, couplings: CouplingConfig) -> np.ndarray:
@@ -629,12 +631,11 @@ def big_loop_gap(
 
     The vortex-free sector is solved once (``gauge_for_sector``,
     ``assemble_skew``, ``mode_spectrum``).  Every pattern sector left to
-    solve gets its co-tree flips from one ``gauge.cotree_flips`` call, which
-    back-substitutes into the elimination that the ladder's cycle system
-    made for the free sector; its block M is the free one with the entry of
-    each co-tree bond the two gauges disagree on negated, and one stacked
-    SVD solves them all.  The same-parity check runs first, before any
-    solve.
+    solve gets its co-tree flips from one ``gauge.cotree_flips`` call on the
+    cycle system the free sector's gauge made; its block M is the free one
+    with the entry of each co-tree bond the two gauges disagree on negated,
+    and one stacked SVD solves them all.  The same-parity check runs first,
+    before any solve.
     """
     _check_bipartite(couplings)
     free = pattern_sector(ladder, {})

@@ -16,16 +16,18 @@ the first cycle name in the most significant position, so ascending id
 order is plain counter order with +1 before -1.
 
 Each ladder keeps one cycle system (``Ladder.cycle_system``), made on
-first use: the co-tree of a spanning tree, the all-(+1) sector and one
-forward elimination of the cycle/co-tree matrix over GF(2).  Each
-representative gauge (``gauge_for_sector``, ``cotree_flips``) is one back
-substitution into it.
+first use: the co-tree of a spanning tree, the all-(+1) sector and the
+closed-form solution of the cycle/co-tree system, which is bidiagonal but
+for a ring's last cell.  Each representative gauge (``gauge_for_sector``,
+``cotree_flips``) takes one parity per co-tree bond, with no elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
+from operator import xor
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -34,7 +36,7 @@ from .errors import (
     InvalidLoopError,
     InvalidSpecError,
 )
-from .lattice import Ladder, Loop
+from .lattice import Boundary, Ladder, Loop
 
 MAX_SECTOR_BASIS = 30  # guard for full sector enumeration
 _SIGNS = frozenset((-1, 1))
@@ -163,96 +165,49 @@ def spanning_cotree(ladder: Ladder) -> tuple[list[tuple[int, int]], list[tuple[i
     return tree, cotree
 
 
-def cycle_cotree_matrix(ladder: Ladder, cotree: Sequence[tuple[int, int]]) -> list[int]:
-    """Row r = bitmask of co-tree bonds used by cycle-basis loop r."""
-    col = {pair: c for c, pair in enumerate(cotree)}
-    return [sum(1 << col[pair] for pair in pairs if pair in col)
-            for pairs, _ in ladder.cycle_bonds.values()]
-
-
-def _eliminate(rows: list[int]) -> list[int]:
-    """Forward elimination of the n ``rows`` over GF(2); InconsistentSectorError
-    if they are dependent or have a column beyond the n-th (a ladder with more
-    co-tree bonds than basis cycles).  Pivot c has bit c and no lower bit,
-    and bit n + r of it is set for each row r summed into it, so a
-    right-hand side can follow it later (``_back_substitute``).
-
-    Column c is cleared only from the rows not yet used as pivots, which
-    leaves each pivot row with bit c and higher bits alone; a column view
-    (``cols[c]``: the rows holding bit c) finds pivots and the rows to clear
-    without a scan.  A cycle/co-tree matrix is nearly bidiagonal and barely
-    fills in, so this is near-linear in n.  Each loop over the set bits of a
-    mask takes its lowest bit and clears it.
-    """
-    n = len(rows)
-    if max(rows, default=0) >> n:
-        raise InconsistentSectorError(f"{n} basis cycles for more than {n} co-tree bonds")
-    aug = [row | 1 << (n + r) for r, row in enumerate(rows)]
-    cols = [0] * n
-    for r, row in enumerate(rows):
-        while row:
-            bit = row & -row
-            cols[bit.bit_length() - 1] |= 1 << r
-            row ^= bit
-    low = (1 << n) - 1  # the coefficient bits
-    free = low  # rows not yet a pivot
-    pivots = []
-    for c in range(n):
-        below = cols[c] & free
-        if not below:
-            raise InconsistentSectorError("cycle basis is linearly dependent")
-        p = (below & -below).bit_length() - 1
-        free ^= 1 << p
-        below ^= 1 << p
-        pivot = aug[p]
-        pivots.append(pivot)
-        rest = below
-        while rest:
-            bit = rest & -rest
-            aug[bit.bit_length() - 1] ^= pivot
-            rest ^= bit
-        rest = pivot & low
-        while rest:
-            bit = rest & -rest
-            cols[bit.bit_length() - 1] ^= below
-            rest ^= bit
-    return pivots
-
-
-def _back_substitute(pivots: Sequence[int], b: int) -> int:
-    """The x (a bitmask) with rows . x = b, from the ``_eliminate`` pivots of
-    the rows; bit r of b is row r's value.  x_c = b'_c + parity(row_c & x),
-    where b'_c sums the bits of b that pivot c's row sum names."""
-    n = len(pivots)
-    x = 0
-    for c in range(n - 1, -1, -1):
-        row = pivots[c]
-        x |= ((((row >> n) & b).bit_count() ^ (row & x).bit_count()) & 1) << c
-    return x
-
-
 @dataclass(frozen=True)
 class CycleSystem:
     """What every gauge solve on one ladder shares: the co-tree bonds, the
-    sector id of the all-(+1) gauge, and the ``_eliminate`` pivots of the
-    cycle/co-tree rows, row b for sector-id bit b (the first cycle is the
-    most significant bit).  A ladder makes its own once, on first use
-    (``Ladder.cycle_system``)."""
+    sector id of the all-(+1) gauge, and per co-tree bond c the mask of the
+    bits of b = sid ^ sid0 whose parity flips it.  A ladder makes its own
+    once, on first use (``Ladder.cycle_system``).
+
+    On a ``build_ladder`` ladder the masks have a closed form.  Rung j, the
+    z bond (2j+1, 2j+2), is flipped when p1..pj, the top j bits of b, have
+    odd parity (the rungs' flips are the inverse Gray code of b), for
+    j <= 2N-1 on an open ladder and j <= 2N-2 on a ring.  A ring's last
+    three co-tree bonds, (4N-3, 4N), (4N-2, 4N-1) and rung 2N-1, take the
+    bit of big, the parity of every bit and the bit of p2N.  ``of`` checks
+    that each basis loop's co-tree masks sum to its own sector-id bit, so a
+    hand-built ladder the closed form does not solve raises
+    InconsistentSectorError before any solve."""
 
     cotree: tuple[tuple[int, int], ...]
     sid0: int
-    pivots: tuple[int, ...]
+    masks: tuple[int, ...]
 
     @classmethod
     def of(cls, ladder: Ladder) -> "CycleSystem":
         _, cotree = spanning_cotree(ladder)
+        N, n = ladder.n_cells, len(ladder.cycles)
+        rungs = range(1, 2 * N - 1 if ladder.boundary is Boundary.CLOSED else 2 * N)
+        want = [(2 * j + 1, 2 * j + 2) for j in rungs]
+        masks = [((1 << j) - 1) << (n - j) for j in rungs]
+        if ladder.boundary is Boundary.CLOSED:
+            want += [(4 * N - 3, 4 * N), (4 * N - 2, 4 * N - 1), (4 * N - 1, 4 * N)]
+            masks += [1, (1 << n) - 1, 2]
+        if cotree != want or n != len(want):
+            raise InconsistentSectorError(
+                f"co-tree bonds {cotree} for {n} basis cycles are not the closed form's {want}")
+        col = dict(zip(cotree, masks))
         # the all-(+1) gauge gives a loop with k backward steps the value -(-1)^k,
         # so its sector id has the bit of each loop with even k set
         sid0 = 0
-        for _, backward in ladder.cycle_bonds.values():
+        for k, (name, (pairs, backward)) in enumerate(ladder.cycle_bonds.items()):
+            if reduce(xor, (col[pair] for pair in pairs if pair in col), 0) != 1 << (n - 1 - k):
+                raise InconsistentSectorError(f"cycle {name} is not the closed form's loop")
             sid0 = sid0 << 1 | (backward % 2 == 0)
-        rows = cycle_cotree_matrix(ladder, cotree)[::-1]
-        return cls(tuple(cotree), sid0, tuple(_eliminate(rows)))
+        return cls(tuple(cotree), sid0, tuple(masks))
 
 
 def cotree_flips(
@@ -260,22 +215,18 @@ def cotree_flips(
 ) -> tuple[tuple[tuple[int, int], ...], list[int]]:
     """Co-tree bonds and, per sector id, which of them carry u = -1 in the
     sector's representative gauge (bit c for ``cotree[c]``); every other bond,
-    the spanning tree included, carries u = +1.
-
-    The flips x solve C x = sid ^ sid0 over GF(2), where row b of C marks the
-    co-tree bonds on the loop of sector-id bit b and sid0 is the sector of
-    the all-(+1) gauge.  The ladder's cycle system holds one forward
-    elimination of C for every call, and each id takes one back
-    substitution; C is nearly bidiagonal, so both are near-linear in the
-    number of cycles.
-    """
+    the spanning tree included, carries u = +1.  Bit c is the parity of the
+    bits of sid ^ sid0 in the ladder's closed-form mask c (``CycleSystem``),
+    where sid0 is the sector of the all-(+1) gauge."""
     system = ladder.cycle_system
-    return system.cotree, [_back_substitute(system.pivots, sid ^ system.sid0) for sid in sids]
+    return system.cotree, [
+        sum(((mask & (sid ^ system.sid0)).bit_count() & 1) << c for c, mask in enumerate(system.masks))
+        for sid in sids]
 
 
 def gauge_for_sector(ladder: Ladder, sector: VortexSector | Mapping[str, int]) -> GaugeConfig:
     """Deterministic representative gauge: u = +1 on a fixed spanning tree,
-    co-tree signs solved over GF(2) so every basis loop hits its target."""
+    co-tree signs from ``cotree_flips`` so every basis loop hits its target."""
     values = sector.values if isinstance(sector, VortexSector) else sector
     sid = sector_id(ladder, values)  # validates names and +-1 entries
     cotree, (x,) = cotree_flips(ladder, [sid])

@@ -591,12 +591,12 @@ def test_stacked_pattern_solve_equals_per_sector_solves():
 
 
 def test_big_loop_gap_solves_a_ladder_once(monkeypatch):
-    """Per ladder: one spanning tree and one forward elimination, shared by
-    the free sector's ``gauge_for_sector`` and the patterns' flips, and at
-    most two SVD calls (the free sector, then the stacked patterns)."""
+    """Per ladder: one spanning tree (its cycle system), shared by the free
+    sector's ``gauge_for_sector`` and the patterns' flips, and at most two
+    SVD calls (the free sector, then the stacked patterns)."""
     from vortexladder import gauge as gauge_mod
 
-    calls = {"svd": 0, "spanning_cotree": 0, "_eliminate": 0, "gauge_for_sector": 0}
+    calls = {"svd": 0, "spanning_cotree": 0, "gauge_for_sector": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -611,14 +611,14 @@ def test_big_loop_gap_solves_a_ladder_once(monkeypatch):
     want = [[gap for _, gap in _reference_reports(build_ladder(r.n_cells, "closed"), cc, patterns)]
             for r, cc in zip(rings, couplings)]
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
-    for name in ("spanning_cotree", "_eliminate", "gauge_for_sector"):
+    for name in ("spanning_cotree", "gauge_for_sector"):
         monkeypatch.setattr(gauge_mod, name, counting(name, getattr(gauge_mod, name)))
     for ring, cc, gaps in zip(rings, couplings, want):
         for name in calls:
             calls[name] = 0
         reports = big_loop_gap(ring, cc, patterns)
         assert [r.gap for r in reports] == gaps
-        assert calls["spanning_cotree"] == calls["_eliminate"] == 1, calls
+        assert calls["spanning_cotree"] == 1, calls
         assert calls["gauge_for_sector"] >= 1 and calls["svd"] <= 2, calls
 
 
@@ -746,6 +746,45 @@ def test_big_loop_gap_below_noise_floor_matches_high_precision():
 def test_big_loop_gap_at_n30_matches_high_precision():
     # six orders of magnitude below the N = 20 gap, 1e5 below its noise floor
     _check_gap_against_high_precision(30, 1.27034645959e-19)
+
+
+def _bloch_energy(n, phi, jx, jy, jz):
+    """Minus the sum of the singular values of the Bloch block
+    M(k) = [[jz, jx + jy e^{ik}], [jy + jx e^{-ik}, -jz]] over
+    k = 2 pi (m + phi) / n, m = 0..n-1."""
+    k = 2 * np.pi * (np.arange(n) + phi) / n
+    m = np.empty((n, 2, 2), dtype=complex)
+    m[:, 0, 0], m[:, 1, 1] = jz, -jz
+    m[:, 0, 1] = jx + jy * np.exp(1j * k)
+    m[:, 1, 0] = jy + jx * np.exp(-1j * k)
+    return -float(np.linalg.svd(m, compute_uv=False).sum())
+
+
+def test_homogeneous_rings_match_their_bloch_sums():
+    """A homogeneous ring is translation invariant, so a sector with every
+    plaquette +1 has the Bloch sum of M(k) as its ground energy, with the
+    twist phi = 0 or 1/2 set by the big loop's value v.  Which twist is
+    which is read off at every N = 2..8, not assumed: each sector matches
+    one twist and not the other, and e^{2 pi i phi} = (-1)^(N+1) v, so the
+    vortex-free sector takes phi = 0 on odd N and 1/2 on even N.  At closed
+    N = 3, 5 and 8 the sweep's minimum is the vortex-free Bloch sum, and
+    ``big_loop_gap`` is the difference of the two Bloch sums."""
+    jx, jy, jz = 1.0, 0.2, 2.0
+    for n in range(2, 9):
+        ring = build_ladder(n, "closed")
+        cc = make_couplings("homogeneous-xyz", ring, jx=jx, jy=jy, jz=jz)
+        bloch = {v: _bloch_energy(n, 0.0 if (-1) ** (n + 1) * v == 1 else 0.5, jx, jy, jz)
+                 for v in (1, -1)}
+        for v, other in ((1, -1), (-1, 1)):
+            energy = sector_ground_energy(ring, cc, pattern_sector(ring, {"big": v}))
+            ulps = 4 * np.spacing(abs(energy))
+            assert abs(energy - bloch[v]) <= ulps, (n, v)
+            assert abs(energy - bloch[other]) > 1000 * ulps, (n, v)  # the twists are resolved
+        if n in (3, 5, 8):
+            e_min = sector_sweep(ring, cc).energies[0]
+            assert abs(e_min - bloch[1]) <= 4 * np.spacing(abs(e_min)), n
+            gap = big_loop_gap(ring, cc, ["BL"])[0].gap
+            assert abs(gap - (bloch[-1] - bloch[1])) <= 1e-13, n
 
 
 def test_coupling_validation():

@@ -1,4 +1,4 @@
-"""Gauge orbits, loop observables, sector ids, spanning-tree solves."""
+"""Gauge orbits, loop observables, sector ids, closed-form gauge solves."""
 
 import gc
 import weakref
@@ -14,10 +14,7 @@ from vortexladder.errors import (
 )
 from vortexladder.gauge import (
     GaugeConfig,
-    _back_substitute,
-    _eliminate,
     cotree_flips,
-    cycle_cotree_matrix,
     enumerate_sectors,
     gauge_for_sector,
     sector_from_id,
@@ -26,6 +23,7 @@ from vortexladder.gauge import (
     spanning_cotree,
     vortex_value,
 )
+from vortexladder.freefermion import CouplingConfig, big_loop_gap, sector_sweep
 from vortexladder.lattice import Bond, BondType, Ladder, build_ladder
 
 
@@ -161,14 +159,6 @@ def test_spanning_cotree_shapes():
             parent[ri] = rj
 
 
-def test_cycle_cotree_matrix_is_invertible_shape():
-    lad = build_ladder(3, "closed")
-    _, cotree = spanning_cotree(lad)
-    rows = cycle_cotree_matrix(lad, cotree)
-    assert len(rows) == len(cotree) == len(lad.cycles)
-    assert all(r != 0 for r in rows)  # every basis loop uses >= 1 co-tree bond
-
-
 def test_gauge_for_sector_reaches_every_sector():
     for n, bnd in ((2, "open"), (2, "closed"), (3, "open"), (3, "closed")):
         lad = build_ladder(n, bnd)
@@ -187,9 +177,8 @@ def test_gauge_for_sector_accepts_plain_mapping():
 
 
 def gauss_jordan_gf2(rows, rhs):
-    """Oracle: the dense Gauss-Jordan elimination over GF(2) that
-    ``_eliminate`` and ``_back_substitute`` replaced; row r carries b_k's
-    bit r at bit n+k."""
+    """Oracle: a dense Gauss-Jordan elimination over GF(2); row r carries
+    b_k's bit r at bit n+k."""
     n = len(rows)
     aug = [
         row | sum(((b >> r) & 1) << (n + k) for k, b in enumerate(rhs))
@@ -207,52 +196,25 @@ def gauss_jordan_gf2(rows, rhs):
     return [sum(((aug[c] >> (n + k)) & 1) << c for c in range(n)) for k in range(len(rhs))]
 
 
-def eliminate_and_substitute(rows, rhs):
-    """One forward elimination, then one back substitution per b in ``rhs``."""
-    pivots = _eliminate(rows)
-    return [_back_substitute(pivots, b) for b in rhs]
-
-
-def _solve_or_singular(solve, rows, rhs):
-    try:
-        return solve(list(rows), rhs)
-    except InconsistentSectorError:
-        return "singular"
-
-
 def test_solve_gf2_matches_gauss_jordan_on_every_ladder():
+    """The closed-form flips solve the cycle/co-tree system: row r marks the
+    co-tree bonds on the loop of sector-id bit r (the last cycle is bit 0),
+    and the right-hand side is the id XOR the all-(+1) gauge's sector."""
     rng = np.random.default_rng(47)
     for n in range(2, 101):
         for bnd in ("open", "closed"):
             lad = build_ladder(n, bnd)
             _, cotree = spanning_cotree(lad)
-            rows = cycle_cotree_matrix(lad, cotree)[::-1]
-            rhs = [int("".join(map(str, rng.integers(0, 2, len(rows)))), 2) for _ in range(4)]
-            assert eliminate_and_substitute(rows, rhs) == gauss_jordan_gf2(rows, rhs), (n, bnd)
-
-
-def test_solve_gf2_matches_gauss_jordan_on_random_systems():
-    rng = np.random.default_rng(53)
-    kinds = {"singular": 0, "solved": 0}
-    for trial in range(1200):
-        n = int(rng.integers(1, 33))
-        if trial % 2:  # sparse or dense rows: mostly singular
-            bits = rng.random((n, n)) < rng.uniform(0.05, 0.6)
-        else:  # a random invertible matrix, sometimes with one row made dependent
-            bits = np.eye(n, dtype=bool)[rng.permutation(n)]
-            for _ in range(3 * n):
-                i, j = rng.integers(0, n, 2)
-                if i != j:
-                    bits[i] ^= bits[j]
-            if n > 1 and rng.random() < 0.2:
-                i, j = rng.choice(n, 2, replace=False)
-                bits[i] = bits[j] ^ (bits[int(rng.integers(n))] if rng.random() < 0.5 else False)
-        rows = [sum(1 << int(c) for c in np.flatnonzero(row)) for row in bits]
-        rhs = [int(rng.integers(0, 1 << n)) for _ in range(int(rng.integers(0, 5)))]
-        got = _solve_or_singular(eliminate_and_substitute, rows, rhs)
-        assert got == _solve_or_singular(gauss_jordan_gf2, rows, rhs), (rows, rhs)
-        kinds["singular" if got == "singular" else "solved"] += 1
-    assert min(kinds.values()) >= 300, kinds
+            col = {pair: c for c, pair in enumerate(cotree)}
+            rows = []
+            for loop in reversed(lad.cycles.values()):
+                pairs = {(min(a, b), max(a, b)) for a, b in zip(loop, loop[1:] + loop[:1])}
+                rows.append(sum(1 << col[pair] for pair in pairs if pair in col))
+            sid0 = sector_of(lad, GaugeConfig.all_plus(lad)).sector_id
+            sids = [int("".join(map(str, rng.integers(0, 2, len(rows)))), 2) for _ in range(4)]
+            got_cotree, flips = cotree_flips(lad, sids)
+            assert list(got_cotree) == cotree, (n, bnd)
+            assert flips == gauss_jordan_gf2(rows, [sid ^ sid0 for sid in sids]), (n, bnd)
 
 
 def test_sector_of_matches_vortex_value_and_its_errors():
@@ -282,12 +244,13 @@ def _triangle_ladder():
 
 
 def test_cycle_systems_are_per_ladder_object():
-    lad, other = build_ladder(2, "open"), _triangle_ladder()
-    assert cotree_flips(lad, [])[0] != cotree_flips(other, [])[0]
-    # alternate the two ladders: each solve reproduces its sector on its own ladder
-    sectors = [list(enumerate_sectors(lad)), list(enumerate_sectors(other))]
+    lad, ring = build_ladder(2, "open"), build_ladder(2, "closed")
+    with pytest.raises(InconsistentSectorError, match="co-tree bonds"):
+        _triangle_ladder().cycle_system
+    # alternate two ladders: each solve reproduces its sector on its own ladder
+    sectors = [list(enumerate_sectors(lad)), list(enumerate_sectors(ring))]
     for k in range(len(sectors[1])):
-        for ladder, secs in zip((lad, other), sectors):
+        for ladder, secs in zip((lad, ring), sectors):
             sec = secs[k % len(secs)]
             g = gauge_for_sector(ladder, sec)
             assert set(g.u) == set(ladder.bond_map)
@@ -297,6 +260,30 @@ def test_cycle_systems_are_per_ladder_object():
     assert again == lad and again.cycle_system == lad.cycle_system
     assert lad.cycle_system is lad.cycle_system
     assert again.cycle_system is not lad.cycle_system
+
+
+def test_cycles_the_closed_form_does_not_solve_raise_before_any_solve(monkeypatch):
+    """build_ladder's bonds with another cycle basis: the cycles reordered,
+    or p2 replaced by the hexagon p1 + p2.  The closed form does not invert
+    their cycle/co-tree systems, so the cycle system refuses them."""
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a sector was solved before the cycle system check")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    ladders = []
+    for n, bnd in ((2, "open"), (3, "closed")):
+        lad = build_ladder(n, bnd)
+        ladders.append(Ladder(n, lad.boundary, lad.bonds, dict(reversed(lad.cycles.items()))))
+    lad = build_ladder(2, "open")
+    ladders.append(Ladder(2, lad.boundary, lad.bonds, {**lad.cycles, "p2": (1, 2, 3, 6, 5, 4)}))
+    for lad in ladders:
+        cc = CouplingConfig({b.pair: 1.0 for b in lad.bonds})
+        with pytest.raises(InconsistentSectorError, match="is not the closed form's loop"):
+            gauge_for_sector(lad, {name: -1 for name in lad.cycle_names})
+        with pytest.raises(InconsistentSectorError, match="is not the closed form's loop"):
+            sector_sweep(lad, cc)
+        with pytest.raises(InconsistentSectorError, match="is not the closed form's loop"):
+            big_loop_gap(lad, cc, ["p1"])
 
 
 def test_more_cotree_bonds_than_cycles_is_an_inconsistent_sector():
